@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from mvt.cli import _write_trajectory_csv
+from mvt.cli import write_trajectory_csv
 from mvt.scenarios import BUNDLED_SCENARIOS, bundled_scenario
 from mvt.solver import solve_maximal
 
@@ -51,7 +51,7 @@ def main() -> int:
         if args.out is not None:
             out_dir = Path(args.out) / name
             out_dir.mkdir(parents=True, exist_ok=True)
-            _write_trajectory_csv(out_dir / "trajectory.csv", traj)
+            write_trajectory_csv(out_dir / "trajectory.csv", traj)
     return 0
 
 

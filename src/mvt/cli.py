@@ -58,7 +58,12 @@ def _fmt_repr(x: float) -> str:
     return repr(float(x))
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
+def write_trajectory_csv(path: Path, traj) -> None:
+    """Write the per-node diagnostics of ``traj`` as ``trajectory.csv``.
+
+    Floats are written with ``repr`` so the file round-trips exactly and
+    two runs can be compared byte for byte.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -137,7 +142,7 @@ def run_simulate(config_path: str, out: str | None) -> int:
 
     out_dir = Path(out) if out is not None else Path(scenario.name)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out_dir / "trajectory.csv", traj)
+    write_trajectory_csv(out_dir / "trajectory.csv", traj)
     written = _write_snapshots(out_dir, traj, output.snapshots)
 
     print(f"scenario: {scenario.name}")

@@ -62,7 +62,7 @@ def check_positivity(scenario: Scenario, config: SolverConfig | None = None) -> 
     operator's iterates dip negative (they may; the dilated integrand
     cannot, which is the point of the shift).
     """
-    if not scenario.initial.is_positive:
+    if not scenario.initial.is_positive():
         raise ScenarioError(f"scenario {scenario.name!r} has non-positive initial data")
     cfg = replace(config if config is not None else scenario.solver, dilation_mode="auto")
     traj = solve_maximal(

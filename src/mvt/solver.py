@@ -24,7 +24,9 @@ Discretization commitments (the corresponding continuum statements are
 exact): the time integral uses composite trapezoid on ``quad_nodes``
 uniform nodes; iterates live on that grid as particle measures; flows
 advance node to node, so atoms produced at different nodes stay aligned
-across sweeps and coalesce exactly.
+across sweeps and coalesce exactly.  The flow map depends on atom
+positions only, so a panel that receives the same support again in a
+later sweep reuses its advected positions instead of re-running RK4.
 """
 from __future__ import annotations
 
@@ -237,27 +239,47 @@ def choose_dilation(
 # Picard sweeps on a quadrature grid.
 # ---------------------------------------------------------------------------
 
+class _AtomPanels:
+    """Advected atom positions per quadrature panel, reused across sweeps.
+
+    The particle twin of ``_DensityPanels``.  The flow map is a pure
+    function of the positions, so when panel k sees the same support as
+    last time the cached image points carry the new weights; the result
+    is bitwise what a fresh push-forward would give.
+    """
+
+    def __init__(self, v: VelocityField, times: np.ndarray, h: float):
+        self.v = v
+        self.times = times
+        self.h = h
+        # Per panel: (input points, advected points) of the last miss.
+        self._last: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (len(times) - 1)
+
+    def push(self, k: int, mu: DiscreteSignedMeasure) -> DiscreteSignedMeasure:
+        last = self._last[k]
+        if last is not None and np.array_equal(last[0], mu.points):
+            return DiscreteSignedMeasure(last[1], mu.weights, mu.domain)
+        moved = pushforward_measure(
+            self.v, float(self.times[k]), float(self.times[k + 1]), mu, self.h
+        )
+        self._last[k] = (mu.points, moved.points)
+        return moved
+
+
 def _transport_curve(
-    v: VelocityField,
-    nu: DiscreteSignedMeasure,
-    times: np.ndarray,
-    h: float,
+    panels: _AtomPanels, nu: DiscreteSignedMeasure
 ) -> list[DiscreteSignedMeasure]:
     out = [nu]
-    cur = nu
-    for k in range(len(times) - 1):
-        cur = pushforward_measure(v, float(times[k]), float(times[k + 1]), cur, h)
-        out.append(cur)
+    for k in range(len(panels.times) - 1):
+        out.append(panels.push(k, out[-1]))
     return out
 
 
 def _sweep_measures(
     spec: ReactionSpec,
-    v: VelocityField,
-    times: np.ndarray,
+    panels: _AtomPanels,
     curve: Sequence[DiscreteSignedMeasure],
     c: float,
-    h: float,
 ) -> list[DiscreteSignedMeasure]:
     """One application of the (dilated) Picard operator on the node grid.
 
@@ -270,6 +292,7 @@ def _sweep_measures(
     which unrolls exactly to the composite-trapezoid discretization of
     the dilated variation-of-constants integral.
     """
+    times = panels.times
     ds = float(times[1] - times[0])
     decay = math.exp(-c * ds)
     g = []
@@ -282,7 +305,7 @@ def _sweep_measures(
     acc = curve[0]
     for k in range(len(times) - 1):
         half = linear_combine(1.0, acc, 0.5 * ds, g[k])
-        moved = pushforward_measure(v, float(times[k]), float(times[k + 1]), half, h)
+        moved = panels.push(k, half)
         acc = linear_combine(decay, moved, 0.5 * ds, g[k + 1])
         out.append(acc)
     return out
@@ -320,7 +343,7 @@ def picard_step_dilated(
         raise ValueError("tau must be positive")
     times = np.linspace(t0, t0 + tau, len(curve))
     h = step_h if step_h is not None else default_step(tau)
-    return _sweep_measures(spec, v, times, curve, c, h)
+    return _sweep_measures(spec, _AtomPanels(v, times, h), curve, c)
 
 
 def _fm_of(diff: DiscreteSignedMeasure) -> float:
@@ -442,7 +465,8 @@ def _fixed_point(
 ) -> _IntervalResult:
     times = np.linspace(t0, t0 + tau, config.quad_nodes)
     h = config.flow_step_h if config.flow_step_h is not None else default_step(tau)
-    curve = _transport_curve(v, nu, times, h)
+    atom_panels = _AtomPanels(v, times, h)
+    curve = _transport_curve(atom_panels, nu)
     panels = None
     dens_vals: list[np.ndarray] | None = None
     dens_tol = math.inf
@@ -459,7 +483,7 @@ def _fixed_point(
     prev_d: float | None = None
     iters = 0
     for _ in range(config.picard_max_iter):
-        new_curve = _sweep_measures(spec, v, times, curve, c, h)
+        new_curve = _sweep_measures(spec, atom_panels, curve, c)
         d = _curve_distance(new_curve, curve, config.picard_tol)
         d_dens = 0.0
         if dens_vals is not None:
@@ -505,7 +529,7 @@ def _dilation_shift(
     """Shift c and partition count for one interval, per dilation_mode."""
     if config.dilation_mode == "none":
         return 0.0, 1
-    if config.dilation_mode == "auto" and not nu.is_positive:
+    if config.dilation_mode == "auto" and not nu.is_positive():
         return 0.0, 1
     ball = tv_norm(nu) + config.delta
     lv = lipschitz_bound(v, t0, t0 + tau)

@@ -3,6 +3,8 @@
 The full bundled sweeps run in the acceptance module; these tests keep
 to the cheapest scenario that still exercises each code path.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ def test_positivity_pure_transport():
 def test_positivity_death_on_torus():
     report = check_positivity(bundled_scenario("source_torus"))
     assert report.passed
+
+
+def test_positivity_rejects_signed_initial_data():
+    base = bundled_scenario("source_torus")
+    signed = measure([[0.25], [0.5]], [1.0, -0.5], base.domain)
+    with pytest.raises(ScenarioError):
+        check_positivity(dataclasses.replace(base, initial=signed))
 
 
 def test_lp_invariance_contraction():

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from mvt.flat_metric import fm_distance, fm_norm
+from mvt.flow import default_step
+from mvt.geometry import TORUS
 from mvt.measures import dirac, linear_combine, measure, negative_part_tv, tv_norm
 from mvt.reactions import builtin_reaction
 from mvt.solver import (
@@ -18,6 +20,7 @@ from mvt.solver import (
     solve_interval,
     solve_maximal,
 )
+from mvt.solver import _dilation_shift
 from mvt.transport import pushforward_measure
 from mvt.velocity import builtin_field, zero_field
 
@@ -291,6 +294,57 @@ def test_interval_auto_dilation_keeps_positivity():
     assert float(traj.neg_part_tv.max()) == 0.0
     # mass law unaffected by the dilation bookkeeping
     assert traj.final_measure.total_mass == pytest.approx(1.5 * np.exp(-0.4), abs=1e-6)
+
+
+def test_auto_dilation_skips_signed_data():
+    # auto shifts only positive data; signed data runs undilated
+    spec = builtin_reaction("linear_rate", [2.0])
+    config = SolverConfig(dilation_mode="auto")
+    signed = measure([[0.0], [0.5]], [1.0, -0.5])
+    assert _dilation_shift(spec, zero_field(1), 0.0, 0.1, signed, config) == (0.0, 1)
+
+
+# --- push-forward reuse across sweeps ---------------------------------------
+
+def test_rate_reaction_advects_each_panel_once(monkeypatch):
+    # a rate reaction never moves atoms, so every sweep sees the support
+    # of the transport curve and reuses its advected positions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pushforward_measure(*args, **kwargs)
+
+    monkeypatch.setattr("mvt.solver.pushforward_measure", counted)
+    spec = builtin_reaction("logistic", [1.0, 2.0])
+    nu = measure([[-0.5], [0.4]], [1.0, 0.5])
+    config = SolverConfig(quad_nodes=9)
+    traj = solve_interval(spec, builtin_field("constant", [0.3], 1), 0.0, 0.2, nu, config)
+    assert int(traj.picard_iters.max()) > 2
+    assert len(calls) == config.quad_nodes - 1
+
+
+def test_interval_matches_public_picard_iteration_bitwise():
+    # production adds atoms between sweeps, so panels miss their cache;
+    # the interval solver must still equal plain Picard iteration
+    spec = builtin_reaction("dirac_source", [0.5, 0.7])
+    v = builtin_field("time_oscillating", [1.0, 0.5, 1.0], 1)
+    nu = measure([[0.25], [0.9]], [1.0, 0.5], TORUS)
+    config = SolverConfig(quad_nodes=9)
+    tau = 0.2
+    traj = solve_interval(spec, v, 0.0, tau, nu, config)
+    times = np.linspace(0.0, tau, config.quad_nodes)
+    h = default_step(tau)
+    curve = [nu]
+    for k in range(len(times) - 1):
+        curve.append(pushforward_measure(v, times[k], times[k + 1], curve[-1], h))
+    for _ in range(int(traj.picard_iters.max())):
+        curve = picard_step_dilated(spec, v, 0.0, 0.0, tau, curve)
+    assert curve[-1].num_atoms > nu.num_atoms
+    assert len(curve) == len(traj.measures)
+    for a, b in zip(curve, traj.measures):
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
 
 
 # --- solve_maximal ----------------------------------------------------------
