@@ -60,8 +60,6 @@ _EXPORTS = {
     "VelocityField": "velocity",
     "zero_field": "velocity",
     "builtin_field": "velocity",
-    "FlowMap": "flow",
-    "flow_map": "flow",
     "advect": "flow",
     "advect_with_logjac": "flow",
     "jacobian_det": "flow",
@@ -101,7 +99,6 @@ _EXPORTS = {
     "SolverConfig": "solver",
     "Trajectory": "solver",
     "choose_step": "solver",
-    "choose_dilation": "solver",
     "picard_step": "solver",
     "picard_step_dilated": "solver",
     "solve_interval": "solver",

@@ -3,21 +3,25 @@
 The flat norm is the supremum of sum_i w_i f(x_i) over test functions
 with |f| <= 1 and Lipschitz constant at most 1.  On a finite support this
 is a linear program in the values f_i = f(x_i): box constraints
-|f_i| <= 1 plus pairwise constraints |f_i - f_j| <= d(x_i, x_j).  Pairs
-with d(x_i, x_j) >= 2 are dropped since the box constraints dominate.
+|f_i| <= 1 plus pairwise constraints |f_i - f_j| <= d(x_i, x_j).  A pair
+is only needed where the other constraints do not already imply it, so
+each geometry solves the LP on its own edge set:
 
-Two exact routes are implemented:
+* 1D Euclidean: consecutive sorted atoms.  Any other pair follows by
+  summing the gaps between, and the chain is solved exactly by a dynamic
+  program over piecewise-linear concave value functions.
+* 1D torus: the sorted atoms joined in a cycle, with d = min(gap, 1 - gap).
+  The shorter arc between two atoms runs through the atoms in between,
+  and its length is the sum of their edge lengths, so the n cycle edges
+  imply every pair.
+* 2D and 3D: every pair with d < 2; farther pairs are implied by the box.
 
-* ``fm_norm`` is the production path.  In one Euclidean dimension the
-  pairwise constraints reduce to consecutive atoms (sorted), and the LP
-  is solved by an exact dynamic program over piecewise-linear concave
-  value functions.  In every other case a dense primal simplex with
-  Bland's rule runs on a working constraint set that grows by violated
-  pairs until none remain.  Both routes are deterministic.
+Outside 1D Euclidean space ``fm_norm`` solves the sparse LP with scipy's
+HiGHS, one two-sided row per edge.  Both routes are deterministic.
 
-* ``fm_norm_oracle`` solves the identical LP for small supports through
-  an unrelated implementation (scipy's HiGHS solver) and exists purely
-  to cross-check ``fm_norm``.
+``fm_norm_oracle`` cross-checks ``fm_norm`` on small supports through the
+dual problem, a min-cost transshipment over all pairs, so agreement is a
+check by strong duality rather than a second run of the same LP.
 """
 from __future__ import annotations
 
@@ -25,16 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
-from .geometry import EUCLIDEAN, pairwise_distances
-from .measures import DiscreteSignedMeasure, coalesce, linear_combine
+from .geometry import EUCLIDEAN, distance, pairwise_distances
+from .measures import DiscreteSignedMeasure, linear_combine
 
 # Pairwise constraints farther apart than this are implied by the box.
 _PRUNE_AT = 2.0
-_FEAS_TOL = 1e-10
-_PIVOT_TOL = 1e-11
-_MAX_SIMPLEX_ITERS = 200_000
-_MAX_GENERATION_ROUNDS = 200
 
 STATUS_OPTIMAL = "optimal"
 STATUS_NUMERICS = "infeasible_numerics"
@@ -63,7 +64,7 @@ def fm_norm(mu: DiscreteSignedMeasure) -> FlatNormResult:
     if mu.dim == 1 and mu.domain == EUCLIDEAN:
         value, f = _fm_chain_1d(mu.points[:, 0], w)
         return FlatNormResult(value, f, STATUS_OPTIMAL)
-    return _fm_simplex(mu)
+    return _fm_lp(mu)
 
 
 def fm_distance(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> float:
@@ -75,37 +76,35 @@ def fm_distance(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> float:
 
 
 def fm_norm_oracle(mu: DiscreteSignedMeasure) -> float:
-    """Independent LP solve (scipy HiGHS) for supports of at most 8 atoms."""
+    """Flat norm by the dual LP (scipy HiGHS), for at most 8 atoms.
+
+    Min-cost transshipment: atom i supplies w_i, shipping mass from i to
+    j costs min(d_ij, 2) per unit, and a ground node absorbs or supplies
+    mass at cost 1.  By strong duality the optimum is the flat norm.
+    """
     n = mu.num_atoms
     if n > 8:
         raise ValueError(f"oracle accepts at most 8 atoms, got {n}")
     if n == 0:
         return 0.0
-    w = np.asarray(mu.weights, dtype=float)
-    if n == 1:
-        return abs(float(w[0]))
-    dist = pairwise_distances(mu.points, mu.domain)
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = np.zeros(n)
-            row[i], row[j] = 1.0, -1.0
-            rows.append(row.copy())
-            rhs.append(dist[i, j])
-            row[i], row[j] = -1.0, 1.0
-            rows.append(row)
-            rhs.append(dist[i, j])
+    cost = np.minimum(pairwise_distances(mu.points, mu.domain), _PRUNE_AT)
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    arcs = np.arange(src.size)
+    balance = np.zeros((n, src.size + 2 * n))
+    balance[src, arcs] = 1.0
+    balance[dst, arcs] = -1.0
+    balance[:, src.size : src.size + n] = np.eye(n)  # atom -> ground
+    balance[:, src.size + n :] = -np.eye(n)  # ground -> atom
     res = scipy.optimize.linprog(
-        c=-w,
-        A_ub=np.array(rows),
-        b_ub=np.array(rhs),
-        bounds=[(-1.0, 1.0)] * n,
+        c=np.concatenate([cost[src, dst], np.ones(2 * n)]),
+        A_eq=balance,
+        b_eq=np.asarray(mu.weights, dtype=float),
+        bounds=(0.0, None),
         method="highs",
     )
     if res.status != 0:
         raise FlatNormError(f"oracle LP failed: {res.message}")
-    return float(-res.fun)
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -169,107 +168,30 @@ def _fm_chain_1d(points: np.ndarray, weights: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Route 2: dense primal simplex with Bland's rule and constraint generation.
-#
-# Shifted variables g_i = f_i + 1 in [0, 2] give a feasible slack start.
-# Rows: g_i <= 2 for every atom plus, for every working pair, the two
-# directed constraints g_i - g_j <= d_ij.  The working set starts from
-# nearest neighbours (all pairs when the support is small) and grows by
-# the most-violated pairs until the full constraint set is satisfied.
+# Route 2: sparse LP on the geometry's edge set, solved by HiGHS.
 # ---------------------------------------------------------------------------
 
-def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray):
-    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0 (slack start)."""
-    m, n = A.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[m, :n] = -c
-    basis = np.arange(n, n + m)
-    for _ in range(_MAX_SIMPLEX_ITERS):
-        reduced = tableau[m, : n + m]
-        candidates = np.nonzero(reduced < -_PIVOT_TOL)[0]
-        if candidates.size == 0:
-            x = np.zeros(n + m)
-            x[basis] = tableau[:m, -1]
-            return x[:n], float(tableau[m, -1]), STATUS_OPTIMAL
-        col = int(candidates[0])  # Bland: smallest eligible index
-        column = tableau[:m, col]
-        rows = np.nonzero(column > _PIVOT_TOL)[0]
-        if rows.size == 0:
-            return None, 0.0, STATUS_NUMERICS  # unbounded: cannot happen, boxed
-        ratios = tableau[rows, -1] / column[rows]
-        best = np.min(ratios)
-        tied = rows[ratios <= best + 1e-30]
-        row = int(tied[np.argmin(basis[tied])])  # Bland: smallest basis index
-        pivot = tableau[row, col]
-        tableau[row] /= pivot
-        factors = tableau[:, col].copy()
-        factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row])
-        basis[row] = col
-    return None, 0.0, STATUS_NUMERICS
-
-
-def _initial_pairs(dist: np.ndarray, live: np.ndarray) -> set[tuple[int, int]]:
-    n = dist.shape[0]
-    if n <= 12:
-        return {(i, j) for i in range(n) for j in range(i + 1, n) if live[i, j]}
-    pairs: set[tuple[int, int]] = set()
-    k = min(3, n - 1)
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        added = 0
-        for j in order:
-            if added >= k:
-                break
-            if j == i:
-                continue
-            a, b = min(i, int(j)), max(i, int(j))
-            if live[a, b]:
-                pairs.add((a, b))
-                added += 1
-    return pairs
-
-
-def _fm_simplex(mu: DiscreteSignedMeasure) -> FlatNormResult:
+def _fm_lp(mu: DiscreteSignedMeasure) -> FlatNormResult:
     n = mu.num_atoms
     w = np.asarray(mu.weights, dtype=float)
-    dist = pairwise_distances(mu.points, mu.domain)
-    live = np.triu(dist < _PRUNE_AT - 1e-12, k=1)
-    working = _initial_pairs(dist, live)
-    f = np.sign(w)
-    f[f == 0.0] = 1.0
-    status = STATUS_OPTIMAL
-    for _ in range(_MAX_GENERATION_ROUNDS):
-        pair_list = sorted(working)
-        m = n + 2 * len(pair_list)
-        A = np.zeros((m, n))
-        b = np.zeros(m)
-        A[:n] = np.eye(n)
-        b[:n] = 2.0
-        for k, (i, j) in enumerate(pair_list):
-            r = n + 2 * k
-            A[r, i], A[r, j] = 1.0, -1.0
-            b[r] = dist[i, j]
-            A[r + 1, i], A[r + 1, j] = -1.0, 1.0
-            b[r + 1] = dist[i, j]
-        g, _, status = _simplex_max(w, A, b)
-        if status != STATUS_OPTIMAL:
-            break
-        f = g - 1.0
-        gap = np.abs(f[:, None] - f[None, :]) - dist
-        gap[~live] = -np.inf
-        viol_idx = np.argwhere(gap > _FEAS_TOL)
-        new_pairs = [
-            (int(i), int(j))
-            for i, j in viol_idx
-            if (int(i), int(j)) not in working
-        ]
-        if not new_pairs:
-            value = float(np.dot(w, f))
-            return FlatNormResult(value, f, STATUS_OPTIMAL)
-        new_pairs.sort(key=lambda ij: (-gap[ij[0], ij[1]], ij))
-        working.update(new_pairs[: max(64, 4 * n)])
-    return FlatNormResult(float(np.dot(w, f)), f, STATUS_NUMERICS)
+    if mu.dim == 1:  # the torus: Euclidean 1D never reaches this route
+        i = np.argsort(mu.points[:, 0], kind="stable")
+        j = np.roll(i, -1)
+        d = distance(mu.points[i], mu.points[j], mu.domain)
+    else:
+        dist = pairwise_distances(mu.points, mu.domain)
+        i, j = np.nonzero(np.triu(dist < _PRUNE_AT - 1e-12, k=1))
+        d = dist[i, j]
+    rows = np.arange(i.size)
+    edges = scipy.sparse.csr_array(
+        (np.repeat([1.0, -1.0], i.size), (np.tile(rows, 2), np.concatenate([i, j]))),
+        shape=(i.size, n),
+    )
+    res = scipy.optimize.milp(
+        -w,
+        constraints=scipy.optimize.LinearConstraint(edges, -d, d),
+        bounds=scipy.optimize.Bounds(-1.0, 1.0),
+    )
+    if res.status != 0:
+        return FlatNormResult(float("nan"), np.zeros(n), STATUS_NUMERICS)
+    return FlatNormResult(float(w @ res.x), res.x, STATUS_OPTIMAL)

@@ -12,7 +12,6 @@ orientation preserving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -130,42 +129,6 @@ def advect_with_logjac(
         if domain == TORUS:
             x = wrap_torus(x)
     return x, logjac
-
-
-def advect_point(
-    v: VelocityField,
-    s: float,
-    t: float,
-    x0: np.ndarray,
-    step_h: float,
-    domain: str = EUCLIDEAN,
-) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x0, dtype=float)).reshape(1, -1)
-    return advect(v, s, t, pt, step_h, domain)[0]
-
-
-@dataclass(frozen=True)
-class FlowMap:
-    """Flow map of v from time s to time t at a fixed RK4 step."""
-
-    v: VelocityField
-    s: float
-    t: float
-    step_h: float
-    domain: str = EUCLIDEAN
-
-    def advance(self, points: np.ndarray) -> np.ndarray:
-        return advect(self.v, self.s, self.t, points, self.step_h, self.domain)
-
-    def log_jacobian(self, points: np.ndarray) -> np.ndarray:
-        return advect_with_logjac(self.v, self.s, self.t, points, self.step_h, self.domain)[1]
-
-
-def flow_map(
-    v: VelocityField, s: float, t: float, step_h: float | None = None, domain: str = EUCLIDEAN
-) -> FlowMap:
-    h = step_h if step_h is not None else default_step(t - s)
-    return FlowMap(v, float(s), float(t), float(h), domain)
 
 
 def simpson_integral(fn: Callable[[float], float], s: float, t: float, panels: int = 128) -> float:

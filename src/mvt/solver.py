@@ -219,22 +219,6 @@ def _dilation_parts(lf: float, c: float, l_v: float, tau: float, limit: float) -
     return parts
 
 
-def choose_dilation(
-    spec: ReactionSpec, R: float, T: float, tau: float, l_v: float
-) -> tuple[float, int]:
-    """Positivity shift c = c_pos(2R, T) and the contraction partition N.
-
-    N is the smallest partition count making the dilated one-step factor
-    (l_f(2R) + c) * l_v * (1 - e^{-c tau / N}) / c drop below 1 (with the
-    obvious c -> 0 limit l_f * l_v * tau / N).
-    """
-    if R <= 0 or tau <= 0:
-        raise ValueError("need R > 0 and tau > 0")
-    c = float(spec.c_pos(2.0 * R, T))
-    lf = float(spec.l_f(2.0 * R))
-    return c, _dilation_parts(lf, c, l_v, tau, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Picard sweeps on a quadrature grid.
 # ---------------------------------------------------------------------------

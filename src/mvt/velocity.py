@@ -50,10 +50,6 @@ class VelocityField:
         grid = np.linspace(min(s, t), max(s, t), samples)
         return float(max(self.sup_rate(float(tau)) for tau in grid))
 
-    def lip_sup(self, s: float, t: float, samples: int = 1025) -> float:
-        grid = np.linspace(min(s, t), max(s, t), samples)
-        return float(max(self.lip_rate(float(tau)) for tau in grid))
-
 
 def zero_field(dim: int) -> VelocityField:
     validate_dim(dim)

@@ -1,10 +1,14 @@
-"""Flat (bounded-Lipschitz) norm: chain solver, simplex, oracle agreement.
+"""Flat (bounded-Lipschitz) norm: chain solver, sparse LP, dual oracle.
 
-The production path and the oracle are deliberately independent: 1D
-euclidean measures go through an exact chain recursion, everything else
-through a dense primal simplex with constraint generation, while the
-oracle hands the full LP to scipy's HiGHS solver.  The tests here hold
-the routes against each other and against closed forms.
+The production path and the oracle are deliberately independent.  1D
+euclidean measures go through an exact chain recursion over consecutive
+atoms.  Everything else is one sparse HiGHS LP on the geometry's edge
+set: the sorted atoms joined in a cycle on the 1D torus (the shorter arc
+between two atoms passes through the atoms in between, so the cycle
+implies every pair), all pairs closer than 2 in 2D and 3D.  The oracle
+solves the dual, a min-cost transshipment over all pairs with a ground
+node, so agreement holds by strong duality.  The tests here hold the
+routes against each other and against closed forms.
 """
 import numpy as np
 import pytest
@@ -79,24 +83,47 @@ def test_oracle_agreement_small_supports(seed, n, dim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
-def test_oracle_agreement_torus(seed, n):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from([1, 2]))
+def test_oracle_agreement_torus(seed, n, dim):
     rng = np.random.default_rng(seed)
-    mu = random_signed(rng, n, 2, domain=TORUS)
+    mu = random_signed(rng, n, dim, domain=TORUS)
     res = fm_norm(mu)
+    assert res.status == STATUS_OPTIMAL
     assert abs(res.value - fm_norm_oracle(mu)) <= 1e-6
+    _certificate_ok(mu, res)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12))
-def test_chain_matches_simplex_via_planar_embedding(seed, n):
-    """1D chain route vs >=2D simplex route on isometric data."""
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_chain_matches_simplex_via_planar_embedding(seed):
+    """1D chain route vs the 2D LP route on 150 atoms along a line."""
     rng = np.random.default_rng(seed)
-    mu = random_signed(rng, n, 1, span=2.0)
+    mu = random_signed(rng, 150, 1, span=2.0)
     planar = measure(
         np.column_stack([mu.points[:, 0], np.zeros(mu.num_atoms)]), mu.weights
     )
-    assert fm_norm(planar).value == pytest.approx(fm_norm(mu).value, abs=1e-8)
+    chain, lp = fm_norm(mu), fm_norm(planar)
+    assert lp.status == STATUS_OPTIMAL
+    assert lp.value == pytest.approx(chain.value, abs=1e-8)
+    _certificate_ok(mu, chain)
+    _certificate_ok(planar, lp)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_torus_cycle_matches_chain_inside_short_arc(seed):
+    """216 torus atoms within an arc shorter than 1/2 see euclidean distances."""
+    rng = np.random.default_rng(seed)
+    start = float(rng.uniform(0.0, 1.0))
+    points = start + rng.uniform(0.0, 0.45, size=(216, 1))
+    torus = measure(points, rng.uniform(-2.0, 2.0, size=216), TORUS)
+    line = measure(np.mod(torus.points - start, 1.0), torus.weights)
+    assert line.num_atoms == torus.num_atoms
+    cycle, chain = fm_norm(torus), fm_norm(line)
+    assert cycle.status == STATUS_OPTIMAL
+    assert cycle.value == pytest.approx(chain.value, abs=1e-8)
+    _certificate_ok(torus, cycle)
+    _certificate_ok(line, chain)
 
 
 @settings(max_examples=60, deadline=None)

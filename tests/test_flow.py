@@ -8,7 +8,6 @@ from mvt.flow import (
     default_step,
     divergence_of,
     flow_displacement_bound,
-    flow_map,
     jacobian_band,
     jacobian_det,
     lipschitz_bound,
@@ -134,14 +133,6 @@ def test_divergence_finite_difference_fallback():
     x = np.array([[0.3, -0.4], [1.0, 2.0]])
     fd = divergence_of(v, 0.0, x, EUCLIDEAN)
     np.testing.assert_allclose(fd, 1.2, atol=1e-6)
-
-
-def test_flow_map_wrapper():
-    v = builtin_field("constant", [1.0], 1)
-    phi = flow_map(v, 0.0, 0.5, 0.05)
-    out = phi.advance(np.array([[0.0], [1.0]]))
-    np.testing.assert_allclose(out[:, 0], [0.5, 1.5], atol=1e-12)
-    assert phi.log_jacobian(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_displacement_bound_is_speed_sup():

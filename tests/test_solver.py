@@ -12,7 +12,6 @@ from mvt.solver import (
     SolverConfig,
     SolverError,
     Trajectory,
-    choose_dilation,
     choose_step,
     picard_step,
     picard_step_dilated,
@@ -107,23 +106,26 @@ def test_choose_step_rejects_bad_inputs():
         choose_step(ZERO, 1.0, 0.0)
 
 
-def test_choose_dilation_frozen_example():
-    # l_f(2R) = 1, c_pos = 1, l_v = 1, tau = 2:
-    # factor(N) = 2 (1 - e^{-2/N}); N=2 gives 1.264, N=3 gives 0.973 < 1
+def test_dilation_shift_frozen_example():
+    # death_rate 1 gives l_f = 1 and c_pos = 1, the zero field l_v = 1, tau = 2:
+    # factor(N) = 2 (1 - e^{-2/N}); N=6 gives 0.567, N=7 gives 0.497 < 1/2
     spec = builtin_reaction("death_rate", [1.0])
-    c, parts = choose_dilation(spec, 0.5, 1.0, 2.0, 1.0)
+    config = SolverConfig(dilation_mode="auto")
+    c, parts = _dilation_shift(spec, zero_field(1), 0.0, 2.0, dirac(0.0), config)
     assert c == pytest.approx(1.0)
-    assert parts == 3
+    assert parts == 7
 
 
-def test_choose_dilation_no_shift_needed():
-    c, parts = choose_dilation(ZERO, 1.0, 1.0, 0.5, 1.0)
+def test_dilation_shift_no_shift_needed():
+    config = SolverConfig(dilation_mode="auto")
+    c, parts = _dilation_shift(ZERO, zero_field(1), 0.0, 0.5, dirac(0.0), config)
     assert c == 0.0 and parts == 1
 
 
-def test_choose_dilation_small_tau():
+def test_dilation_shift_small_tau():
     spec = builtin_reaction("death_rate", [1.0])
-    _, parts = choose_dilation(spec, 0.5, 1.0, 1e-6, 1.0)
+    config = SolverConfig(dilation_mode="auto")
+    _, parts = _dilation_shift(spec, zero_field(1), 0.0, 1e-6, dirac(0.0), config)
     assert parts == 1
 
 
