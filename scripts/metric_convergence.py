@@ -15,8 +15,6 @@ Usage:
 import argparse
 import sys
 
-import numpy as np
-
 from mvt.flat_metric import fm_distance
 from mvt.grids import gaussian_density, indicator_density, lp_norm, quantize
 from mvt.measures import dirac

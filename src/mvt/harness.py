@@ -18,11 +18,9 @@ from .flow import lipschitz_bound
 from .geometry import EUCLIDEAN
 from .grids import gaussian_density, lp_norm, quantize
 from .measures import dirac, measure, negative_part_tv, tv_norm
-from .reactions import builtin_reaction
 from .scenarios import Scenario, ScenarioError, bundled_scenario
 from .solver import SolverConfig, picard_step, solve_maximal
 from .transport import lp_growth_factor
-from .velocity import zero_field
 
 
 @dataclass

@@ -115,9 +115,9 @@ class SolverConfig:
 class Trajectory:
     """Solution samples and per-node diagnostics on a shared time grid.
 
-    ``picard_iters`` and ``contraction_ratio`` are per-interval
-    quantities replicated onto the nodes of their interval;
-    ``lp_norm`` is NaN when no density is co-evolved.
+    ``picard_iters`` and ``contraction_ratio`` read 0 at the first node;
+    every other node carries the values of the fixed-point run that
+    produced it.  ``lp_norm`` is NaN when no density is co-evolved.
     """
 
     times: np.ndarray
@@ -428,15 +428,6 @@ def _sweep_density(
 # Interval fixed point and chaining.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _IntervalResult:
-    times: np.ndarray
-    measures: list[DiscreteSignedMeasure]
-    density_values: list[np.ndarray] | None
-    iters: int
-    ratio: float
-
-
 def _fixed_point(
     spec: ReactionSpec,
     v: VelocityField,
@@ -446,7 +437,7 @@ def _fixed_point(
     config: SolverConfig,
     c: float,
     u0: GridDensity | None,
-) -> _IntervalResult:
+) -> Trajectory:
     times = np.linspace(t0, t0 + tau, config.quad_nodes)
     h = config.flow_step_h if config.flow_step_h is not None else default_step(tau)
     atom_panels = _AtomPanels(v, times, h)
@@ -499,7 +490,64 @@ def _fixed_point(
         raise SolverError(
             f"iterates left the invariant TV ball: {worst_tv} > {ball}"
         )
-    return _IntervalResult(times, curve, dens_vals, iters, ratio)
+    densities = None if u0 is None else [u0] + [with_values(u0, x) for x in dens_vals[1:]]
+    return _assemble(times, curve, densities, iters, ratio)
+
+
+def _assemble(
+    times: np.ndarray,
+    measures: list[DiscreteSignedMeasure],
+    densities: list[GridDensity] | None,
+    iters: int,
+    ratio: float,
+) -> Trajectory:
+    """Diagnostics of one fixed-point run; its first node reads 0 iterations."""
+    n = len(times)
+    tv = np.array([tv_norm(m) for m in measures])
+    neg = np.array([negative_part_tv(m) for m in measures])
+    fm_step = np.zeros(n)
+    for j in range(1, n):
+        diff = linear_combine(1.0, measures[j], -1.0, measures[j - 1])
+        fm_step[j] = _fm_of(diff)
+    lp = np.full(n, np.nan)
+    if densities is not None:
+        lp = np.array([lp_norm(u) for u in densities])
+    return Trajectory(
+        times=times,
+        measures=measures,
+        densities=densities,
+        tv_norm=tv,
+        neg_part_tv=neg,
+        fm_step_distance=fm_step,
+        picard_iters=np.array([0] + [iters] * (n - 1), dtype=int),
+        contraction_ratio=np.array([0.0] + [ratio] * (n - 1)),
+        lp_norm=lp,
+    )
+
+
+def _join(pieces: Sequence[Trajectory], stop: int | None = None) -> Trajectory:
+    """Stitch pieces that each start at the final node of the one before.
+
+    Piece 0 is kept whole and node 0 of every later piece is dropped, so
+    each boundary node appears once; ``stop`` keeps joined nodes
+    [0, stop).  Flags are left at their defaults for the caller to set.
+    """
+    first, rest = pieces[0], pieces[1:]
+    arrays = ("times", "tv_norm", "neg_part_tv", "fm_step_distance",
+              "picard_iters", "contraction_ratio", "lp_norm")
+
+    def nodes(name: str) -> list:
+        return (getattr(first, name) + [x for p in rest for x in getattr(p, name)[1:]])[:stop]
+
+    def array(name: str) -> np.ndarray:
+        parts = [getattr(first, name)] + [getattr(p, name)[1:] for p in rest]
+        return np.concatenate(parts)[:stop]
+
+    return Trajectory(
+        measures=nodes("measures"),
+        densities=None if first.densities is None else nodes("densities"),
+        **{name: array(name) for name in arrays},
+    )
 
 
 def _dilation_shift(
@@ -541,115 +589,20 @@ def solve_interval(
     if tau <= 0:
         raise ValueError("tau must be positive")
     c, parts = _dilation_shift(spec, v, t0, tau, nu, config)
-    times_all: list[float] = [t0]
-    measures_all: list[DiscreteSignedMeasure] = [nu]
-    dens_all: list[GridDensity] | None = None
-    if initial_density is not None:
-        dens_all = [initial_density]
-    iters_all: list[int] = [0]
-    ratio_all: list[float] = [0.0]
-
+    pieces: list[Trajectory] = []
     cur_mu = nu
     cur_u = initial_density
     for i in range(parts):
         seg_start = t0 + tau * i / parts
         seg_end = t0 + tau * (i + 1) / parts
-        res = _fixed_point(
+        piece = _fixed_point(
             spec, v, seg_start, seg_end - seg_start, cur_mu, config, c, cur_u
         )
-        for j in range(1, len(res.times)):
-            times_all.append(float(res.times[j]))
-            measures_all.append(res.measures[j])
-            iters_all.append(res.iters)
-            ratio_all.append(res.ratio)
-            if dens_all is not None:
-                grid = cur_u
-                dens_all.append(
-                    with_values(grid, res.density_values[j].reshape(grid.values.shape))
-                )
-        cur_mu = res.measures[-1]
-        if dens_all is not None:
-            cur_u = dens_all[-1]
-
-    return _assemble(times_all, measures_all, dens_all, iters_all, ratio_all)
-
-
-def _assemble(
-    times: list[float],
-    measures: list[DiscreteSignedMeasure],
-    densities: list[GridDensity] | None,
-    iters: list[int],
-    ratios: list[float],
-) -> Trajectory:
-    n = len(times)
-    tv = np.array([tv_norm(m) for m in measures])
-    neg = np.array([negative_part_tv(m) for m in measures])
-    fm_step = np.zeros(n)
-    for j in range(1, n):
-        diff = linear_combine(1.0, measures[j], -1.0, measures[j - 1])
-        fm_step[j] = _fm_of(diff)
-    lp = np.full(n, np.nan)
-    if densities is not None:
-        lp = np.array([lp_norm(u) for u in densities])
-    return Trajectory(
-        times=np.array(times),
-        measures=measures,
-        densities=densities,
-        tv_norm=tv,
-        neg_part_tv=neg,
-        fm_step_distance=fm_step,
-        picard_iters=np.array(iters, dtype=int),
-        contraction_ratio=np.array(ratios),
-        lp_norm=lp,
-    )
-
-
-def _concat(base: Trajectory, extra: Trajectory) -> Trajectory:
-    """Append a trajectory starting at base's final time (node shared)."""
-    dens = None
-    if base.densities is not None and extra.densities is not None:
-        dens = base.densities + extra.densities[1:]
-    return Trajectory(
-        times=np.concatenate([base.times, extra.times[1:]]),
-        measures=base.measures + extra.measures[1:],
-        densities=dens,
-        tv_norm=np.concatenate([base.tv_norm, extra.tv_norm[1:]]),
-        neg_part_tv=np.concatenate([base.neg_part_tv, extra.neg_part_tv[1:]]),
-        fm_step_distance=np.concatenate([base.fm_step_distance, extra.fm_step_distance[1:]]),
-        picard_iters=np.concatenate([base.picard_iters, extra.picard_iters[1:]]),
-        contraction_ratio=np.concatenate([base.contraction_ratio, extra.contraction_ratio[1:]]),
-        lp_norm=np.concatenate([base.lp_norm, extra.lp_norm[1:]]),
-        blown_up=extra.blown_up or base.blown_up,
-        blowup_time=extra.blowup_time if extra.blowup_time is not None else base.blowup_time,
-        density_blown_up=extra.density_blown_up or base.density_blown_up,
-        density_blowup_time=(
-            extra.density_blowup_time
-            if extra.density_blowup_time is not None
-            else base.density_blowup_time
-        ),
-        reached_horizon=extra.reached_horizon,
-    )
-
-
-def _truncate_at(traj: Trajectory, idx: int) -> Trajectory:
-    """Keep nodes 0..idx inclusive."""
-    sl = slice(0, idx + 1)
-    return Trajectory(
-        times=traj.times[sl],
-        measures=traj.measures[: idx + 1],
-        densities=None if traj.densities is None else traj.densities[: idx + 1],
-        tv_norm=traj.tv_norm[sl],
-        neg_part_tv=traj.neg_part_tv[sl],
-        fm_step_distance=traj.fm_step_distance[sl],
-        picard_iters=traj.picard_iters[sl],
-        contraction_ratio=traj.contraction_ratio[sl],
-        lp_norm=traj.lp_norm[sl],
-        blown_up=traj.blown_up,
-        blowup_time=traj.blowup_time,
-        density_blown_up=traj.density_blown_up,
-        density_blowup_time=traj.density_blowup_time,
-        reached_horizon=False,
-    )
+        pieces.append(piece)
+        cur_mu = piece.final_measure
+        if piece.densities is not None:
+            cur_u = piece.densities[-1]
+    return _join(pieces)
 
 
 def solve_maximal(
@@ -679,7 +632,8 @@ def solve_maximal(
         lp_threshold = _LP_BLOWUP_FACTOR * max(lp_norm(initial_density), 1.0)
 
     span = horizon - t0
-    traj: Trajectory | None = None
+    pieces: list[Trajectory] = []
+    stored = 0  # joined nodes before the newest piece's node 0
     cur_mu = nu
     cur_u = initial_density
     t = t0
@@ -698,35 +652,34 @@ def solve_maximal(
         seg = solve_interval(
             spec, v, t, tau, cur_mu, config, initial_density=cur_u
         )
-        traj = seg if traj is None else _concat(traj, seg)
-        # Blow-up check over the freshly stored nodes.
-        over_tv = np.nonzero(traj.tv_norm > tv_threshold)[0]
-        over_lp = (
-            np.nonzero(traj.lp_norm > lp_threshold)[0]
-            if traj.densities is not None
-            else np.array([], dtype=int)
-        )
+        pieces.append(seg)
+        # Earlier intervals passed the check, so only this one's nodes
+        # are scanned; its node 0 is the previous final node (or nu).
+        over_tv = np.flatnonzero(seg.tv_norm > tv_threshold)
+        over_lp = np.flatnonzero(seg.lp_norm > lp_threshold)
         if over_tv.size or over_lp.size:
             idx = int(min(
                 over_tv[0] if over_tv.size else np.inf,
                 over_lp[0] if over_lp.size else np.inf,
             ))
-            traj = _truncate_at(traj, idx)
+            traj = _join(pieces, stop=stored + idx + 1)
             if over_tv.size and over_tv[0] == idx:
                 traj.blown_up = True
-                traj.blowup_time = float(traj.times[-1])
+                traj.blowup_time = traj.final_time
             if over_lp.size and over_lp[0] == idx:
                 traj.density_blown_up = True
-                traj.density_blowup_time = float(traj.times[-1])
+                traj.density_blowup_time = traj.final_time
             return traj
-        cur_mu = traj.final_measure
-        if traj.densities is not None:
-            cur_u = traj.densities[-1]
-        t = traj.final_time
+        stored += len(seg.times) - 1
+        cur_mu = seg.final_measure
+        if seg.densities is not None:
+            cur_u = seg.densities[-1]
+        t = seg.final_time
     else:
         raise SolverError("interval budget exhausted before reaching the horizon")
-    if traj is None:
+    if not pieces:
         raise SolverError("empty horizon")
+    traj = _join(pieces)
     traj.reached_horizon = True
     return traj
 

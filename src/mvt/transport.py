@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .flow import advect, advect_with_logjac, default_step, simpson_integral
-from .geometry import EUCLIDEAN
 from .grids import GridDensity, interpolate, with_values
 from .measures import DiscreteSignedMeasure, _readonly
 from .velocity import VelocityField

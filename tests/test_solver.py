@@ -5,6 +5,7 @@ import pytest
 from mvt.flat_metric import fm_distance, fm_norm
 from mvt.flow import default_step
 from mvt.geometry import TORUS
+from mvt.grids import lp_norm, quantize, uniform_density
 from mvt.measures import dirac, linear_combine, measure, negative_part_tv, tv_norm
 from mvt.reactions import builtin_reaction
 from mvt.solver import (
@@ -288,6 +289,27 @@ def test_interval_dilation_equivalence():
     assert worst <= 10.0 * tol
 
 
+def test_interval_joins_dilation_parts():
+    # death_rate 1 with auto dilation over tau = 2 runs 7 fixed-point
+    # parts; consecutive parts share their boundary node, stored once
+    spec = builtin_reaction("death_rate", [1.0])
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[0.0], [0.5]], [1.0, 0.5])
+    config = SolverConfig(quad_nodes=9, dilation_mode="auto")
+    assert _dilation_shift(spec, v, 0.0, 2.0, nu, config)[1] == 7
+    traj = solve_interval(spec, v, 0.0, 2.0, nu, config)
+    panels = config.quad_nodes - 1
+    assert len(traj.times) == panels * 7 + 1
+    assert len(traj.measures) == len(traj.times)
+    for i in range(8):
+        assert traj.times[panels * i] == 2.0 * i / 7
+    assert traj.measures[0] is nu
+    assert traj.picard_iters[0] == 0 and traj.contraction_ratio[0] == 0.0
+    assert traj.fm_step_distance[0] == 0.0
+    assert np.all(traj.picard_iters[1:] >= 1)
+    assert np.all(traj.fm_step_distance[1:] > 0.0)
+
+
 def test_interval_auto_dilation_keeps_positivity():
     spec = builtin_reaction("death_rate", [1.0])
     nu = measure([[0.0, 0.0], [0.5, 0.5]], [1.0, 0.5])
@@ -394,6 +416,29 @@ def test_maximal_riccati_blowup_flagged():
     t_thresh = t_star - 1.0 / (20.0 * m0)
     assert traj.final_time == pytest.approx(t_thresh, rel=0.05)
     assert float(traj.tv_norm[-1]) >= 20.0 * m0
+    # ...and the trajectory ends at the first crossing
+    assert np.all(traj.tv_norm[:-1] <= 20.0 * m0)
+
+
+def test_maximal_density_blowup_flagged(monkeypatch):
+    # the density L^2 norm grows like e^{1.2 t} and crosses a lowered
+    # threshold 2 max(||u0||, 1) inside the fourth interval
+    monkeypatch.setattr("mvt.solver._LP_BLOWUP_FACTOR", 2.0)
+    spec = builtin_reaction("linear_rate", [1.2], domain_volume=2.0)
+    u0 = uniform_density([-1.0], [1.0], 16, 0.75, 2.0)
+    config = SolverConfig(quad_nodes=9, max_interval_tau=0.15, tv_blowup_threshold=1e9)
+    traj = solve_maximal(
+        spec, zero_field(1), quantize(u0), 0.0, 1.0, config, initial_density=u0
+    )
+    threshold = 2.0 * max(lp_norm(u0), 1.0)
+    assert traj.density_blown_up and not traj.blown_up
+    assert not traj.reached_horizon and traj.blowup_time is None
+    assert traj.density_blowup_time == traj.final_time
+    assert traj.final_time > 3 * 0.15
+    assert traj.final_time == pytest.approx(np.log(2.0) / 1.2, abs=0.02)
+    assert len(traj.densities) == len(traj.times)
+    assert traj.lp_norm[-1] > threshold
+    assert np.all(traj.lp_norm[:-1] <= threshold)
 
 
 def test_maximal_max_interval_tau_restarts():
@@ -403,6 +448,48 @@ def test_maximal_max_interval_tau_restarts():
     # five forced restarts of 64 panels each, sharing endpoints
     assert len(traj.times) == 5 * 64 + 1
     assert traj.reached_horizon
+
+
+def test_maximal_equals_hand_chained_intervals():
+    # solve_maximal restarts at each interval's final node; chaining
+    # solve_interval by hand, counting each boundary node once, must
+    # reproduce it bit for bit, densities included
+    spec = builtin_reaction("linear_rate", [2.0], domain_volume=2.0)
+    v = zero_field(1)
+    nu = dirac(0.2, 1.5)
+    u0 = uniform_density([-1.0], [1.0], 8, 0.75, 2.0)
+    horizon, cap = 0.3, 0.1
+    config = SolverConfig(quad_nodes=9, max_interval_tau=cap)
+    traj = solve_maximal(spec, v, nu, 0.0, horizon, config, initial_density=u0)
+
+    segs = []
+    t, mu, u = 0.0, nu, u0
+    while horizon - t > 1e-12:
+        tau = min(cap, horizon - t)
+        assert choose_step(spec, tv_norm(mu), config.delta, velocity=v, t0=t, cap=tau) == tau
+        seg = solve_interval(spec, v, t, tau, mu, config, initial_density=u)
+        segs.append(seg)
+        t, mu, u = seg.final_time, seg.final_measure, seg.densities[-1]
+    assert len(segs) >= 3
+    assert traj.reached_horizon
+
+    def chained(name):
+        first = list(getattr(segs[0], name))
+        return first + [x for seg in segs[1:] for x in list(getattr(seg, name))[1:]]
+
+    for name in ("times", "tv_norm", "neg_part_tv", "fm_step_distance",
+                 "picard_iters", "contraction_ratio", "lp_norm"):
+        expected = np.array(chained(name))
+        assert getattr(traj, name).dtype == expected.dtype, name
+        assert np.array_equal(getattr(traj, name), expected), name
+    measures, densities = chained("measures"), chained("densities")
+    assert len(traj.measures) == len(measures) == len(traj.times)
+    for a, b in zip(traj.measures, measures):
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
+    assert len(traj.densities) == len(densities)
+    for a, b in zip(traj.densities, densities):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_maximal_rejects_bad_horizon():
