@@ -69,8 +69,6 @@ class ReactionSpec:
     c_pos: Callable[[float, float], float]
     production: Callable[[float, DiscreteSignedMeasure], DiscreteSignedMeasure] | None = None
     rate: Callable[[float, DiscreteSignedMeasure], BoundedLipschitzFunction] | None = None
-    rate_mu_lipschitz: Callable[[float], float] | None = None
-    rate_sup: Callable[[float], float] | None = None
     lp_bound: Callable[[float, float, float, float], float] | None = None
     density_action: Callable[[float, GridDensity], GridDensity] | None = None
 
@@ -191,8 +189,6 @@ def builtin_reaction(
             c_f=lambda R: 0.0,
             l_f=lambda R: 0.0,
             c_pos=lambda R, T: 0.0,
-            rate_mu_lipschitz=lambda R: 0.0,
-            rate_sup=lambda R: 0.0,
             lp_bound=lambda p, r, t0, t1: 0.0,
             density_action=_zero_density_action,
         )
@@ -204,8 +200,6 @@ def builtin_reaction(
             l_f=lambda R: abs(c),
             c_pos=lambda R, T: abs(c),
             rate=lambda t, mu: constant_function(c),
-            rate_mu_lipschitz=lambda R: 0.0,
-            rate_sup=lambda R: abs(c),
             lp_bound=lambda p, r, t0, t1: abs(c) * r,
             density_action=lambda t, u: with_values(u, c * u.values),
         )
@@ -233,8 +227,6 @@ def builtin_reaction(
             l_f=lambda R: abs(r_rate) * (1.0 + 2.0 * R / capacity),
             c_pos=lambda R, T: abs(r_rate) * (1.0 + R / capacity),
             rate=_logistic_rate,
-            rate_mu_lipschitz=lambda R: abs(r_rate) / capacity,
-            rate_sup=lambda R: abs(r_rate) * (1.0 + R / capacity),
             lp_bound=_logistic_lp,
             density_action=_logistic_density,
         )
@@ -248,8 +240,6 @@ def builtin_reaction(
             l_f=lambda R: a,
             c_pos=lambda R, T: a,
             rate=lambda t, mu: constant_function(-a),
-            rate_mu_lipschitz=lambda R: 0.0,
-            rate_sup=lambda R: a,
         )
     if name == "dirac_source":
         sigma, *center = params
@@ -270,8 +260,6 @@ def builtin_reaction(
             l_f=lambda R: 0.0,
             c_pos=lambda R, T: 0.0,
             production=_dirac_production,
-            rate_mu_lipschitz=lambda R: 0.0,
-            rate_sup=lambda R: 0.0,
         )
     if name == "smoothed_source":
         if len(params) < 3:
@@ -300,8 +288,6 @@ def builtin_reaction(
             l_f=lambda R: 0.0,
             c_pos=lambda R, T: 0.0,
             production=_bump_production,
-            rate_mu_lipschitz=lambda R: 0.0,
-            rate_sup=lambda R: 0.0,
             lp_bound=lambda p, r, t0, t1: _bump_lp_norm(sigma, width, dim, p),
             density_action=_bump_density,
         )
@@ -326,8 +312,6 @@ def builtin_reaction(
             l_f=lambda R: 2.0 * abs(alpha) * R,
             c_pos=lambda R, T: abs(alpha) * R,
             rate=_mass_rate,
-            rate_mu_lipschitz=lambda R: abs(alpha),
-            rate_sup=lambda R: abs(alpha) * R,
             lp_bound=_mass_lp,
             density_action=_mass_density,
         )

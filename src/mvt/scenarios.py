@@ -3,8 +3,9 @@
 A scenario bundles everything one simulation needs: domain, velocity
 field, reaction, initial measure, time window, solver settings, and an
 optional tracked density.  Scenarios come from INI-style config files
-(see ``parse_scenario``) or from the bundled registry used by the
-verification suites.
+(see ``parse_scenario``).  The nine bundled scenarios that the
+verification suites run are such files too, shipped in the package as
+``configs/<name>.ini``; ``bundled_scenario`` parses them.
 
 Config schema (unknown sections or keys are errors):
 
@@ -45,7 +46,8 @@ Config schema (unknown sections or keys are errors):
     box = -2.0, 2.0
     cells = 128
     p = 2.0
-    params = 0.5                ; gaussian: sigma (per axis, centered)
+    params = 0.5                ; gaussian: sigma, or sigma, c1, ..., cd
+                                ;   (default center: the box midpoint)
     path =
 
     [output]                    ; optional section
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from .grids import GridDensity, gaussian_density, load_density, quantize, unifor
 from .measures import DiscreteSignedMeasure, load_measure, measure
 from .reactions import REACTION_NAMES, ReactionSpec, builtin_reaction
 from .solver import SolverConfig
-from .velocity import FIELD_NAMES, VelocityField, builtin_field, zero_field
+from .velocity import FIELD_NAMES, VelocityField, builtin_field
 
 
 class ScenarioError(ValueError):
@@ -227,9 +230,14 @@ def _parse_density(section, domain: str, dim: int) -> GridDensity:
             raise ScenarioError("uniform density takes params = value")
         return uniform_density([lo] * dim, [hi] * dim, cells, params[0], p, domain)
     if kind == "gaussian":
-        if len(params) != 1:
-            raise ScenarioError("gaussian density takes params = sigma")
-        center = [0.5 * (lo + hi)] * dim
+        if len(params) == 1:
+            center = [0.5 * (lo + hi)] * dim
+        elif len(params) == 1 + dim:
+            center = params[1:]
+        else:
+            raise ScenarioError(
+                f"gaussian density in dim {dim} takes params = sigma or sigma, c1..c{dim}"
+            )
         return gaussian_density([lo] * dim, [hi] * dim, cells, params[0], center, p, 1.0, domain)
     raise ScenarioError(f"unknown density kind {kind!r}")
 
@@ -276,14 +284,9 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
         fsec = parser["field"]
         fname = _get(fsec, "name")
         fparams = _float_list(_get(fsec, "params", "") or "")
-        if fname == "zero":
-            velocity = zero_field(dim)
-        elif fname in FIELD_NAMES:
-            velocity = builtin_field(fname, fparams, dim)
-        else:
-            raise ScenarioError(
-                f"unknown field {fname!r}; expected zero or one of {FIELD_NAMES}"
-            )
+        if fname not in FIELD_NAMES:
+            raise ScenarioError(f"unknown field {fname!r}; expected one of {FIELD_NAMES}")
+        velocity = builtin_field(fname, fparams, dim)
         if domain == TORUS and not velocity.torus_compatible:
             raise ScenarioError(f"field {fname!r} is not torus-compatible")
 
@@ -369,177 +372,33 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
 
 
 # ---------------------------------------------------------------------------
-# Bundled scenarios (the verification corpus).
+# Bundled scenarios (the verification corpus): each one is the INI file
+# CONFIG_DIR/<name>.ini, and parse_scenario builds it.
 #
 # All multi-dimensional supports are kept small: the flat-norm LP on n
 # atoms in >= 2 dimensions is the cost hot spot, while 1D instances use
 # the exact chain solver and can be large.
 # ---------------------------------------------------------------------------
 
-def _ring_rotation() -> Scenario:
-    return Scenario(
-        name="ring_rotation",
-        domain=EUCLIDEAN,
-        dim=2,
-        velocity=builtin_field("rotation2d", [np.pi / 2.0], 2),
-        reaction=builtin_reaction("zero", []),
-        initial=initial_measure("ring", [12, 0.5, 2.0], 2, EUCLIDEAN),
-        t0=0.0,
-        horizon=1.0,
-        solver=SolverConfig(quad_nodes=17),
-    )
+CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
-
-def _death_shear() -> Scenario:
-    pts = [[0.0, 0.3], [0.2, -0.1], [-0.3, 0.2], [0.1, 0.1]]
-    wts = [0.5, 0.75, 0.25, 0.5]
-    flat = [x for w, p in zip(wts, pts) for x in (w, *p)]
-    return Scenario(
-        name="death_shear",
-        domain=EUCLIDEAN,
-        dim=2,
-        velocity=builtin_field("shear", [0.5], 2),
-        reaction=builtin_reaction("death_rate", [1.0]),
-        initial=initial_measure("diracs", flat, 2, EUCLIDEAN),
-        t0=0.0,
-        horizon=1.5,
-        solver=SolverConfig(quad_nodes=17, dilation_mode="auto"),
-    )
-
-
-def _logistic_drift() -> Scenario:
-    return Scenario(
-        name="logistic_drift",
-        domain=EUCLIDEAN,
-        dim=1,
-        velocity=builtin_field("constant", [0.3], 1),
-        reaction=builtin_reaction("logistic", [1.0, 2.0]),
-        initial=initial_measure(
-            "diracs", [1.5, -0.5, 1.0, 0.0, 0.5, 0.4], 1, EUCLIDEAN
-        ),
-        t0=0.0,
-        horizon=1.0,
-        solver=SolverConfig(quad_nodes=33, dilation_mode="auto"),
-    )
-
-
-def _source_torus() -> Scenario:
-    return Scenario(
-        name="source_torus",
-        domain=TORUS,
-        dim=1,
-        velocity=builtin_field("constant", [0.3], 1),
-        reaction=builtin_reaction("smoothed_source", [0.5, 0.1, 0.5]),
-        initial=initial_measure("diracs", [1.0, 0.25], 1, TORUS),
-        t0=0.0,
-        horizon=0.5,
-        solver=SolverConfig(quad_nodes=17, dilation_mode="auto"),
-    )
-
-
-def _linear_mass() -> Scenario:
-    return Scenario(
-        name="linear_mass",
-        domain=EUCLIDEAN,
-        dim=1,
-        velocity=zero_field(1),
-        reaction=builtin_reaction("linear_rate", [2.0]),
-        initial=initial_measure("diracs", [1.5, 0.2], 1, EUCLIDEAN),
-        t0=0.0,
-        horizon=0.5,
-        solver=SolverConfig(quad_nodes=65, max_interval_tau=0.1),
-    )
-
-
-def _riccati_blowup() -> Scenario:
-    m0 = 20.0
-    return Scenario(
-        name="riccati_blowup",
-        domain=EUCLIDEAN,
-        dim=1,
-        velocity=zero_field(1),
-        reaction=builtin_reaction("mass_rate", [1.0]),
-        initial=initial_measure("diracs", [m0, 0.0], 1, EUCLIDEAN),
-        t0=0.0,
-        horizon=0.1,
-        solver=SolverConfig(
-            delta=20.0,
-            quad_nodes=9,
-            picard_tol=1e-9,
-            tv_blowup_threshold=50.0 * m0,
-        ),
-    )
-
-
-def _lp_rotation(cells: int = 48) -> Scenario:
-    p = 2.0
-    density = gaussian_density([-2.0, -2.0], [2.0, 2.0], cells, 0.5, [0.3, 0.0], p)
-    return Scenario(
-        name="lp_rotation",
-        domain=EUCLIDEAN,
-        dim=2,
-        velocity=builtin_field("rotation2d", [1.0], 2),
-        reaction=builtin_reaction("zero", []),
-        initial=initial_measure("diracs", [1.0, 0.3, 0.0], 2, EUCLIDEAN),
-        t0=0.0,
-        horizon=0.8,
-        solver=SolverConfig(quad_nodes=9),
-        density=density,
-    )
-
-
-def _lp_contraction(cells: int = 256) -> Scenario:
-    p = 2.0
-    density = gaussian_density([-3.0], [3.0], cells, 0.6, [0.0], p)
-    return Scenario(
-        name="lp_contraction",
-        domain=EUCLIDEAN,
-        dim=1,
-        velocity=builtin_field("linear", [-0.8], 1),
-        reaction=builtin_reaction("zero", []),
-        initial=quantize(density),
-        t0=0.0,
-        horizon=0.5,
-        solver=SolverConfig(quad_nodes=9),
-        density=density,
-    )
-
-
-def _lp_growth(cells: int = 256) -> Scenario:
-    p = 2.0
-    density = uniform_density([-1.0], [1.0], cells, 0.75, p)
-    return Scenario(
-        name="lp_growth",
-        domain=EUCLIDEAN,
-        dim=1,
-        velocity=zero_field(1),
-        reaction=builtin_reaction("linear_rate", [1.2], domain_volume=2.0),
-        initial=quantize(density),
-        t0=0.0,
-        horizon=0.6,
-        solver=SolverConfig(quad_nodes=33, max_interval_tau=0.15),
-        density=density,
-    )
-
-
-BUNDLED_SCENARIOS = {
-    "ring_rotation": _ring_rotation,
-    "death_shear": _death_shear,
-    "logistic_drift": _logistic_drift,
-    "source_torus": _source_torus,
-    "linear_mass": _linear_mass,
-    "riccati_blowup": _riccati_blowup,
-    "lp_rotation": _lp_rotation,
-    "lp_contraction": _lp_contraction,
-    "lp_growth": _lp_growth,
-}
+BUNDLED_SCENARIOS = (
+    "ring_rotation",
+    "death_shear",
+    "logistic_drift",
+    "source_torus",
+    "linear_mass",
+    "riccati_blowup",
+    "lp_rotation",
+    "lp_contraction",
+    "lp_growth",
+)
 
 
 def bundled_scenario(name: str) -> Scenario:
-    try:
-        factory = BUNDLED_SCENARIOS[name]
-    except KeyError:
+    """The bundled scenario ``name``, parsed from ``CONFIG_DIR/<name>.ini``."""
+    if name not in BUNDLED_SCENARIOS:
         raise ScenarioError(
             f"unknown bundled scenario {name!r}; have {sorted(BUNDLED_SCENARIOS)}"
-        ) from None
-    return factory()
+        )
+    return parse_scenario(str(CONFIG_DIR / f"{name}.ini"))[0]

@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .flat_metric import STATUS_OPTIMAL, fm_norm
-from .flow import advect_with_logjac, default_step, lipschitz_bound
-from .grids import GridDensity, interpolate, lp_norm, with_values
+from .flow import default_step, lipschitz_bound
+from .grids import GridDensity, lp_norm, with_values
 from .measures import (
     DiscreteSignedMeasure,
     linear_combine,
@@ -46,7 +46,7 @@ from .measures import (
     tv_norm,
 )
 from .reactions import ReactionSpec, eval_reaction
-from .transport import pushforward_measure
+from .transport import backward_characteristics, pushforward_measure, transported_values
 from .velocity import VelocityField
 
 DILATION_MODES = ("none", "auto", "fixed")
@@ -370,20 +370,14 @@ class _DensityPanels:
 
     def __init__(self, v: VelocityField, grid: GridDensity, times: np.ndarray, h: float):
         self.grid = grid
-        centers = grid.center_points()
-        self.feet: list[np.ndarray] = []
-        self.jac: list[np.ndarray] = []
-        for k in range(len(times) - 1):
-            feet, logjac_back = advect_with_logjac(
-                v, float(times[k + 1]), float(times[k]), centers, h, grid.domain
-            )
-            self.feet.append(feet)
-            self.jac.append(np.exp(logjac_back))
+        self.chars = [
+            backward_characteristics(v, float(times[k]), float(times[k + 1]), grid, h)
+            for k in range(len(times) - 1)
+        ]
 
     def push(self, k: int, values: np.ndarray) -> np.ndarray:
         carrier = with_values(self.grid, values.reshape(self.grid.values.shape))
-        moved = interpolate(carrier, self.feet[k]) * self.jac[k]
-        return moved.reshape(self.grid.values.shape)
+        return transported_values(carrier, *self.chars[k])
 
 
 def _density_reaction_values(

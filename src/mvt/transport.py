@@ -37,6 +37,27 @@ def pushforward_measure(
     return DiscreteSignedMeasure(_readonly(pts), mu.weights, mu.domain)
 
 
+def backward_characteristics(
+    v: VelocityField,
+    s: float,
+    t: float,
+    grid: GridDensity,
+    step_h: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feet at time s of the characteristics through the cell centers at t,
+    and the inverse Jacobian factor of the forward flow at each foot."""
+    h = step_h if step_h is not None else default_step(t - s)
+    feet, logjac_back = advect_with_logjac(v, t, s, grid.center_points(), h, grid.domain)
+    # logjac_back integrates div v backward, which equals -log det of the
+    # forward flow at the foot; the transported value is u0(foot)/det.
+    return feet, np.exp(logjac_back)
+
+
+def transported_values(u: GridDensity, feet: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Cell values of u pushed along the characteristics (feet, jac)."""
+    return (interpolate(u, feet) * jac).reshape(u.values.shape)
+
+
 def pushforward_density(
     v: VelocityField,
     s: float,
@@ -45,13 +66,8 @@ def pushforward_density(
     step_h: float | None = None,
 ) -> GridDensity:
     """Semi-Lagrangian transport of a density from time s to time t."""
-    h = step_h if step_h is not None else default_step(t - s)
-    centers = u.center_points()
-    feet, logjac_back = advect_with_logjac(v, t, s, centers, h, u.domain)
-    # logjac_back integrates div v backward, which equals -log det of the
-    # forward flow at the foot; the transported value is u0(foot)/det.
-    values = interpolate(u, feet) * np.exp(logjac_back)
-    return with_values(u, values.reshape(u.values.shape))
+    feet, jac = backward_characteristics(v, s, t, u, step_h)
+    return with_values(u, transported_values(u, feet, jac))
 
 
 def conjugate_exponent(p: float) -> float:

@@ -7,8 +7,8 @@ bounds are supplied with the field rather than estimated, because every
 quantitative statement downstream (operator norms, Jacobian bands,
 density estimates) consumes them as certificates.
 
-The built-in families are ``constant``, ``linear``, ``rotation2d``,
-``shear`` and ``time_oscillating``; see :func:`builtin_field` for the
+The built-in families are ``zero``, ``constant``, ``linear``,
+``rotation2d``, ``shear`` and ``time_oscillating``; see :func:`builtin_field` for the
 parameter conventions.  Fields whose exact form is unbounded, such as
 ``linear``, ship with a working radius: the certified sup bound holds
 on the ball of that radius, which the caller must choose to contain
@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import validate_dim
 
-FIELD_NAMES = ("constant", "linear", "rotation2d", "shear", "time_oscillating")
+FIELD_NAMES = ("zero", "constant", "linear", "rotation2d", "shear", "time_oscillating")
 
 _DEFAULT_RADIUS = 10.0
 
@@ -72,6 +72,7 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
     Parameter conventions (radius defaults to 10 where it appears; it
     only affects the certified sup bound, not the dynamics):
 
+    * ``zero``: no parameters; v = 0.
     * ``constant``: components ``[c1, ..., cd]``.
     * ``linear``: ``[a]`` or ``[a, radius]``; v(x) = a * x.
     * ``rotation2d``: ``[omega]``, ``[omega, cx, cy]`` or
@@ -82,6 +83,10 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
     """
     validate_dim(dim)
     params = [float(p) for p in params]
+    if name == "zero":
+        if params:
+            raise ValueError("zero field takes no parameters")
+        return zero_field(dim)
     if name == "constant":
         if len(params) != dim:
             raise ValueError(f"constant field in dim {dim} needs {dim} components")

@@ -5,6 +5,7 @@ under ``pytest -s``; under plain ``-v`` the test node itself is the
 pass/fail line).  Expensive bundled solves are computed once and
 cached at module scope.
 """
+import configparser
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -25,7 +26,7 @@ from mvt.measures import (
 )
 from mvt.harness import run_suite
 from mvt.reactions import builtin_reaction
-from mvt.scenarios import BUNDLED_SCENARIOS, bundled_scenario
+from mvt.scenarios import BUNDLED_SCENARIOS, CONFIG_DIR, bundled_scenario, parse_scenario
 from mvt.solver import SolverConfig, picard_step, solve_interval, solve_maximal
 from mvt.transport import pushforward_measure
 from mvt.velocity import builtin_field, zero_field
@@ -40,6 +41,17 @@ def criterion(num: int, label: str):
         print(f"criterion {num:02d} [{label}]: FAIL")
         raise
     print(f"criterion {num:02d} [{label}]: PASS {info.get('detail', '')}".rstrip())
+
+
+def _refined(name: str, cells: int, tmp_dir: Path):
+    """Bundled scenario ``name`` parsed from its own INI with ``cells`` density cells."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cfg.read(CONFIG_DIR / f"{name}.ini", encoding="utf-8")
+    cfg["density"]["cells"] = str(cells)
+    path = tmp_dir / f"{name}_{cells}.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cfg.write(fh)
+    return parse_scenario(str(path))[0]
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +310,7 @@ def test_criterion_13_continuous_dependence_suite():
         info["detail"] = f"(3 pairs; scaling-pair equality off by {max(abs(x - 1.0) for x in ratios):.1e})"
 
 
-def test_criterion_14_lp_propagation_with_refinement():
+def test_criterion_14_lp_propagation_with_refinement(tmp_path):
     with criterion(14, "L^p propagation and refinement") as info:
         from mvt.harness import check_lp_invariance
 
@@ -306,9 +318,8 @@ def test_criterion_14_lp_propagation_with_refinement():
         assert all(r.passed for r in base_reports.values())
         shrink_notes = []
         for name in ("lp_rotation", "lp_contraction", "lp_growth"):
-            factory = BUNDLED_SCENARIOS[name]
-            coarse_sc = factory()
-            fine_sc = factory(cells=2 * coarse_sc.density.cells)
+            coarse_sc = bundled_scenario(name)
+            fine_sc = _refined(name, 2 * coarse_sc.density.cells, tmp_path)
             coarse = base_reports[f"lp_invariance[{name}]"]
             fine = check_lp_invariance(fine_sc)
             assert fine.passed, fine.summary()
@@ -339,7 +350,7 @@ def test_criterion_15_weak_limit_semicontinuity():
 
 def test_criterion_16_determinism(tmp_path):
     with criterion(16, "byte-identical trajectory.csv") as info:
-        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "ring_rotation.ini")
+        cfg = str(CONFIG_DIR / "ring_rotation.ini")
         outs = []
         for k in (1, 2):
             out = tmp_path / f"run{k}"

@@ -2,15 +2,13 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from mvt.cli import main, run_simulate
 from mvt.geometry import TORUS
 from mvt.measures import dirac, measure, save_measure
-
-REPO = Path(__file__).resolve().parents[1]
+from mvt.scenarios import CONFIG_DIR
 
 BASIC = """\
 [scenario]
@@ -75,7 +73,7 @@ def test_simulate_default_output_dir(tmp_path, capsys, monkeypatch):
 
 
 def test_simulate_density_outputs(tmp_path, capsys):
-    cfg = str(REPO / "configs" / "lp_growth.ini")
+    cfg = str(CONFIG_DIR / "lp_growth.ini")
     out = tmp_path / "growth"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert "density blown up: false" in capsys.readouterr().out.splitlines()

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from mvt.geometry import TORUS
+from mvt.grids import gaussian_density
 from mvt.measures import save_measure, dirac
 from mvt.scenarios import (
     BUNDLED_SCENARIOS,
+    CONFIG_DIR,
     INITIAL_KINDS,
     OutputOptions,
     Scenario,
@@ -14,6 +16,7 @@ from mvt.scenarios import (
     initial_measure,
     parse_scenario,
 )
+from mvt.velocity import FIELD_NAMES, builtin_field
 
 MINIMAL = """\
 [scenario]
@@ -47,11 +50,12 @@ def test_parse_minimal(tmp_path):
     assert output.snapshots == 11
 
 
-def test_parse_bundled_config_files(tmp_path):
-    import pathlib
-
-    for cfg in sorted(pathlib.Path("configs").glob("*.ini")):
+def test_parse_bundled_config_files():
+    configs = sorted(CONFIG_DIR.glob("*.ini"))
+    assert {cfg.stem for cfg in configs} == set(BUNDLED_SCENARIOS)
+    for cfg in configs:
         scenario, output = parse_scenario(str(cfg))
+        assert scenario.name == cfg.stem
         assert scenario.horizon > scenario.t0
         assert output.snapshots >= 2
 
@@ -78,6 +82,20 @@ def test_parse_rejects_bad_names(tmp_path):
         parse_scenario(_write(tmp_path, MINIMAL.replace("[field]\nname = zero", "[field]\nname = warp")))
     with pytest.raises(ScenarioError, match="unknown reaction"):
         parse_scenario(_write(tmp_path, MINIMAL.replace("[reaction]\nname = zero", "[reaction]\nname = fission")))
+
+
+def test_zero_field_is_builtin(tmp_path):
+    assert "zero" in FIELD_NAMES
+    v = builtin_field("zero", [], 2)
+    x = np.array([[0.5, -1.0], [2.0, 3.0]])
+    np.testing.assert_array_equal(v(0.3, x), np.zeros_like(x))
+    assert v.sup_rate(0.3) == 0.0 and v.torus_compatible
+    with pytest.raises(ValueError, match="no parameters"):
+        builtin_field("zero", [5.0], 1)
+    # the parser rejects field params it cannot use, as it does for reactions
+    bad = MINIMAL.replace("[field]\nname = zero", "[field]\nname = zero\nparams = 5, 7")
+    with pytest.raises(ScenarioError, match="no parameters"):
+        parse_scenario(_write(tmp_path, bad))
 
 
 def test_parse_rejects_torus_incompatible_field(tmp_path):
@@ -217,6 +235,26 @@ params = 0.5
     from mvt.grids import mass
 
     assert mass(scenario.density) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_density_section_gaussian_center(tmp_path):
+    text = MINIMAL.replace("dim = 1", "dim = 2").replace(
+        "params = 1.0, 0.0", "params = 1.0, 0.0, 0.0"
+    ) + """
+[density]
+kind = gaussian
+box = -2.0, 2.0
+cells = 16
+p = 2.0
+params = 0.5, 0.3, 0.0
+"""
+    scenario, _ = parse_scenario(_write(tmp_path, text))
+    want = gaussian_density([-2.0, -2.0], [2.0, 2.0], 16, 0.5, [0.3, 0.0], 2.0)
+    np.testing.assert_array_equal(scenario.density.values, want.values)
+    np.testing.assert_array_equal(scenario.density.box_min, want.box_min)
+    np.testing.assert_array_equal(scenario.density.box_max, want.box_max)
+    with pytest.raises(ScenarioError, match="sigma or sigma, c1..c2"):
+        parse_scenario(_write(tmp_path, text.replace("params = 0.5, 0.3, 0.0", "params = 0.5, 0.3")))
 
 
 def test_density_grid_initial_quantizes(tmp_path):
