@@ -11,6 +11,13 @@ torus coordinates wrapped to [0, 1), atoms within ``COALESCE_EPS`` of
 each other merged, weights below ``WEIGHT_EPS`` dropped, and atoms
 sorted lexicographically by coordinates.  The canonical form makes
 equality checks and downstream optimisation deterministic.
+
+One rule, ``_separated``, lets coalescing skip the merge pass: when the
+sorted first coordinates of a support have every gap (and, on the
+torus, the wrap-around gap) above eps, no two atoms are within eps, so
+the pass could merge nothing.  ``linear_combine`` of two measures on the
+same separated support therefore adds the weights atom by atom, which
+is bitwise what merging the concatenation would give.
 """
 from __future__ import annotations
 
@@ -24,6 +31,7 @@ import numpy as np
 from .geometry import (
     EUCLIDEAN,
     TORUS,
+    coordinate_deltas,
     distance,
     validate_dim,
     validate_domain,
@@ -231,23 +239,49 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float
     return new_pts, new_wts, True
 
 
+def _separated(points: np.ndarray, domain: str, eps: float) -> bool:
+    """True when the first coordinates alone keep every pair beyond ``eps``.
+
+    Distance is at least the first-coordinate gap, so ``_merge_pass``
+    then finds no pair.  The test is sufficient, not necessary: tied
+    first coordinates in d > 1 return False.  On the torus it also
+    needs canonical coordinates in [0, 1), and it measures the
+    wrap-around gap between the extreme atoms as ``geometry.distance``
+    does.
+    """
+    x0 = np.sort(points[:, 0])
+    if np.any(np.diff(x0) <= eps):
+        return False
+    if domain != TORUS:
+        return True
+    if not np.all((points >= 0.0) & (points < 1.0)):
+        return False
+    return x0.shape[0] < 2 or bool(abs(coordinate_deltas(x0[0], x0[-1], TORUS)) > eps)
+
+
+def _pruned_canonical(
+    points: np.ndarray, weights: np.ndarray, domain: str
+) -> DiscreteSignedMeasure:
+    keep = np.abs(weights) >= WEIGHT_EPS
+    pts, wts = _canonical_order(points[keep], weights[keep])
+    return DiscreteSignedMeasure(_readonly(pts), _readonly(wts), domain)
+
+
 def coalesce(mu: DiscreteSignedMeasure, eps: float = COALESCE_EPS) -> DiscreteSignedMeasure:
     """Merge atoms within ``eps`` and prune near-zero weights.
 
     Merged atoms sum their weights and sit at the weight-magnitude
     weighted mean position.  The pass repeats until no pair is within
-    ``eps``, so the operation is idempotent.  Output atoms are sorted
-    lexicographically by coordinates.
+    ``eps``, so the operation is idempotent.  A support that
+    ``_separated`` clears skips the pass, which could merge nothing.
+    Output atoms are sorted lexicographically by coordinates.
     """
     pts = np.asarray(mu.points, dtype=float)
     wts = np.asarray(mu.weights, dtype=float)
-    changed = True
+    changed = pts.shape[0] > 1 and not _separated(pts, mu.domain, eps)
     while changed and pts.shape[0] > 1:
         pts, wts, changed = _merge_pass(pts, wts, mu.domain, eps)
-    keep = np.abs(wts) >= WEIGHT_EPS
-    pts, wts = pts[keep], wts[keep]
-    pts, wts = _canonical_order(pts, wts)
-    return DiscreteSignedMeasure(_readonly(pts), _readonly(wts), mu.domain)
+    return _pruned_canonical(pts, wts, mu.domain)
 
 
 def tv_norm(mu: DiscreteSignedMeasure) -> float:
@@ -268,8 +302,22 @@ def linear_combine(
     b: float,
     nu: DiscreteSignedMeasure,
 ) -> DiscreteSignedMeasure:
-    """Coalesced atom list of a*mu + b*nu."""
+    """Coalesced atom list of a*mu + b*nu.
+
+    When mu and nu have the same points and ``_separated`` clears them,
+    the weights add atom by atom with no merge pass.  The points get
+    ``+ 0.0`` as the merge's ``ref + 0.0`` would, turning -0.0 into 0.0,
+    so the result is bitwise ``coalesce`` of the concatenation.
+    """
     _check_compatible(mu, nu)
+    if (
+        mu.num_atoms
+        and np.array_equal(mu.points, nu.points)
+        and _separated(mu.points, mu.domain, COALESCE_EPS)
+    ):
+        return _pruned_canonical(
+            mu.points + 0.0, a * mu.weights + b * nu.weights, mu.domain
+        )
     dim = mu.dim if mu.num_atoms else nu.dim
     pts = np.concatenate([mu.points, nu.points]) if nu.num_atoms or mu.num_atoms else mu.points
     wts = np.concatenate([a * mu.weights, b * nu.weights])

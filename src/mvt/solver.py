@@ -27,6 +27,12 @@ advance node to node, so atoms produced at different nodes stay aligned
 across sweeps and coalesce exactly.  The flow map depends on atom
 positions only, so a panel that receives the same support again in a
 later sweep reuses its advected positions instead of re-running RK4.
+Sweep arithmetic on a shared support runs no merge pass: when the two
+measures ``linear_combine`` adds sit on the same atoms and no two atoms
+are within the merge radius, their weights add atom by atom (see
+``measures._separated``).  With the zero field and a reaction that
+only rescales weights, the support never moves and every sweep takes
+that path.
 """
 from __future__ import annotations
 

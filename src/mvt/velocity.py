@@ -30,7 +30,13 @@ _DEFAULT_RADIUS = 10.0
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Velocity field t, (n, d) points -> (n, d) velocities, with bounds."""
+    """Velocity field t, (n, d) points -> (n, d) velocities, with bounds.
+
+    ``identity_flow`` certifies that the field vanishes everywhere at
+    all times, so its flow map is the identity; ``flow.advect`` and
+    ``flow.advect_with_logjac`` then return the RK4 result without
+    evaluating the field.  Only ``zero_field`` sets it.
+    """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
     sup_rate: Callable[[float], float]
@@ -41,6 +47,7 @@ class VelocityField:
     div_pos_rate: Callable[[float], float] | None = None
     torus_compatible: bool = False
     name: str = ""
+    identity_flow: bool = False
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval(float(t), np.asarray(points, dtype=float)), dtype=float)
@@ -63,6 +70,7 @@ def zero_field(dim: int) -> VelocityField:
         div_pos_rate=lambda t: 0.0,
         torus_compatible=True,
         name="zero",
+        identity_flow=True,
     )
 
 

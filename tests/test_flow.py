@@ -1,4 +1,6 @@
 """Flow maps: RK4 order, semigroup law, and the certified bounds."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,51 @@ def test_advect_empty_and_zero_field():
     assert advect(zero_field(2), 0.0, 1.0, np.zeros((0, 2)), 0.1).shape == (0, 2)
     x0 = np.array([[0.4, 0.6]])
     np.testing.assert_array_equal(advect(zero_field(2), 0.0, 1.0, x0, 0.1), x0)
+
+
+def _counted(v):
+    calls = []
+
+    def eval_(t, x):
+        calls.append(t)
+        return v.eval(t, x)
+
+    return dataclasses.replace(v, eval=eval_), calls
+
+
+@pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_zero_field_flow_is_identity_without_evaluating(dim, domain):
+    rng = np.random.default_rng(dim)
+    x0 = rng.uniform(0.0, 1.0, size=(5, dim))
+    zero, zero_calls = _counted(zero_field(dim))
+    for t_to in (1.0, -0.35, 0.0):
+        moved = advect(zero, 0.0, t_to, x0, 0.1, domain)
+        moved_lj, logjac = advect_with_logjac(zero, 0.0, t_to, x0, 0.1, domain)
+        for out in (moved, moved_lj):
+            assert out.tobytes() == x0.tobytes()
+            assert not np.shares_memory(out, x0)
+        assert logjac.tobytes() == np.zeros(5).tobytes()
+    assert zero_calls == []
+    # A constant field of speed 0 is not flagged: it still runs RK4.
+    const, const_calls = _counted(builtin_field("constant", [0.0] * dim, dim))
+    assert not const.identity_flow
+    np.testing.assert_array_equal(advect(const, 0.0, 1.0, x0, 0.1, domain), x0)
+    assert len(const_calls) == 40
+
+
+@pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
+def test_zero_field_shortcut_matches_rk4_bitwise(domain):
+    # -0.0 becomes 0.0 on a forward RK4 step and stays -0.0 backward.
+    x0 = np.array([[-0.0, 0.25], [0.5, -0.0], [0.75, 0.125]])
+    const = builtin_field("constant", [0.0, 0.0], 2)
+    for t_to in (1.0, -0.35, 0.0):
+        want = advect(const, 0.0, t_to, x0, 0.1, domain)
+        want_lj = advect_with_logjac(const, 0.0, t_to, x0, 0.1, domain)
+        got_lj = advect_with_logjac(zero_field(2), 0.0, t_to, x0, 0.1, domain)
+        assert advect(zero_field(2), 0.0, t_to, x0, 0.1, domain).tobytes() == want.tobytes()
+        assert got_lj[0].tobytes() == want_lj[0].tobytes()
+        assert got_lj[1].tobytes() == want_lj[1].tobytes()
 
 
 def test_torus_wrapping():

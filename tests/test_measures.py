@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from helpers import random_signed
 from mvt.geometry import EUCLIDEAN, TORUS
 from mvt.measures import (
+    COALESCE_EPS,
     BoundedLipschitzFunction,
+    DiscreteSignedMeasure,
     MeasureError,
     coalesce,
     constant_function,
@@ -173,3 +175,67 @@ def test_tv_homogeneous(seed, scale):
     assert tv_norm(linear_combine(scale, mu, 0.0, mu)) == pytest.approx(
         abs(scale) * tv_norm(mu), abs=1e-12
     )
+
+
+def _shared_support(rng, n, dim, domain, case):
+    """n atoms with one forced feature (in d = 1 a tie is a duplicate atom)."""
+    if domain == TORUS:
+        pts = rng.uniform(0.0, 1.0, size=(n, dim))
+    else:
+        pts = rng.uniform(-1.5, 1.5, size=(n, dim))
+    if case == "neg_zero":
+        pts[0, :] = -0.0
+    elif case == "beyond_eps":
+        pts[1, 0] = pts[0, 0] + 1.5 * COALESCE_EPS
+    elif case == "within_eps":
+        pts[1] = pts[0]
+        pts[1, 0] += 0.5 * COALESCE_EPS
+    elif case == "wrap_within_eps":
+        pts[1] = pts[0]
+        pts[0, 0] = 0.25 * COALESCE_EPS
+        pts[1, 0] = 1.0 - 0.25 * COALESCE_EPS
+    elif case == "unwrapped":
+        pts[0, -1] += 1.0  # outside [0, 1) on the torus: the merge re-wraps it
+    elif case == "tied_first":
+        pts[1, 0] = pts[0, 0]
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(2, 6),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([EUCLIDEAN, TORUS]),
+    st.sampled_from(
+        [
+            "plain",
+            "neg_zero",
+            "beyond_eps",
+            "within_eps",
+            "wrap_within_eps",
+            "unwrapped",
+            "tied_first",
+        ]
+    ),
+    st.sampled_from([(1.0, 1.0), (1.0, -1.0), (0.7, 0.015625), (-2.5, 3.0)]),
+)
+def test_linear_combine_shared_support_is_bitwise_coalesce(seed, n, dim, domain, case, ab):
+    """Adding weights on a shared support equals merging the concatenation."""
+    rng = np.random.default_rng(seed)
+    pts = _shared_support(rng, n, dim, domain, case)
+    w_mu = rng.uniform(-2.0, 2.0, size=n)
+    w_nu = rng.uniform(-2.0, 2.0, size=n)
+    a, b = ab
+    w_nu[-1] = -a * w_mu[-1] / b  # one atom (nearly) cancels: the prune runs
+    mu = DiscreteSignedMeasure(pts, w_mu, domain)
+    nu = DiscreteSignedMeasure(pts.copy(), w_nu, domain)
+    got = linear_combine(a, mu, b, nu)
+    want = coalesce(
+        DiscreteSignedMeasure(
+            np.concatenate([pts, pts]), np.concatenate([a * w_mu, b * w_nu]), domain
+        )
+    )
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.domain == want.domain
