@@ -12,6 +12,12 @@ each other merged, weights below ``WEIGHT_EPS`` dropped, and atoms
 sorted lexicographically by coordinates.  The canonical form makes
 equality checks and downstream optimisation deterministic.
 
+Coalescing merges the connected components of the eps-graph: a
+``scipy.spatial.cKDTree`` (periodic on the torus) proposes the pairs
+within 2 * eps, the exact rule ``geometry.distance <= eps`` keeps the
+edges, and ``scipy.sparse.csgraph.connected_components`` groups them,
+numbering components by their lowest atom index.
+
 One rule, ``_separated``, lets coalescing skip the merge pass: when the
 sorted first coordinates of a support have every gap (and, on the
 torus, the wrap-around gap) above eps, no two atoms are within eps, so
@@ -27,6 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .geometry import (
     EUCLIDEAN,
@@ -169,58 +178,39 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray):
     return points[order], weights[order]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float):
-    """One clustering pass: merge connected components of the eps-graph."""
+    """One clustering pass: merge connected components of the eps-graph.
+
+    A KD-tree (periodic with ``boxsize=1.0`` on the torus, built on the
+    wrapped points) proposes every pair within ``2 * eps``, and the
+    exact rule ``geometry.distance <= eps`` keeps the edges, so the
+    tree's rounding cannot change the graph.  Components are numbered
+    by their lowest atom index, which fixes the output row order.  A
+    lone atom is ``points[i] + 0.0`` (wrapped on the torus) with weight
+    ``weights[i] + 0.0``, bitwise what the group arithmetic gives one
+    member.  When no edge survives, the inputs come back unchanged.
+    """
     n = points.shape[0]
-    order = np.argsort(points[:, 0], kind="stable")
-    x0 = points[order, 0]
-    uf = _UnionFind(n)
-    merged_any = False
-    # Sweep over the first coordinate: only nearby-in-x0 pairs can be close.
-    start = 0
-    for idx in range(n):
-        while x0[idx] - x0[start] > eps:
-            start += 1
-        for prev in range(start, idx):
-            i, j = order[prev], order[idx]
-            if distance(points[i], points[j], domain) <= eps:
-                uf.union(i, j)
-                merged_any = True
-    if domain == TORUS and n > 1:
-        # The sweep misses pairs that wrap around in the first coordinate.
-        low = np.nonzero(x0 <= eps)[0]
-        high = np.nonzero(x0 >= 1.0 - eps)[0]
-        for a in low:
-            for b in high:
-                i, j = order[a], order[b]
-                if i != j and distance(points[i], points[j], domain) <= eps:
-                    uf.union(i, j)
-                    merged_any = True
-    if not merged_any:
+    if domain == TORUS:
+        tree = cKDTree(wrap_torus(points), boxsize=1.0)
+    else:
+        tree = cKDTree(points)
+    pairs = tree.query_pairs(2.0 * eps, output_type="ndarray")
+    pairs = pairs[distance(points[pairs[:, 0]], points[pairs[:, 1]], domain) <= eps]
+    if not pairs.shape[0]:
         return points, weights, False
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    new_pts = np.zeros((len(groups), points.shape[1]))
-    new_wts = np.zeros(len(groups))
-    for row, (_, members) in enumerate(sorted(groups.items())):
-        idxs = np.array(members)
+    graph = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")  # by component, then index
+    starts = np.cumsum(sizes) - sizes
+    lowest = members[starts]
+    new_pts = points[lowest] + 0.0
+    if domain == TORUS:
+        new_pts = wrap_torus(new_pts)
+    new_wts = weights[lowest] + 0.0
+    for row in np.flatnonzero(sizes > 1):
+        idxs = members[starts[row]:starts[row] + sizes[row]]
         w = weights[idxs]
         total_abs = np.sum(np.abs(w))
         ref = points[idxs[0]]

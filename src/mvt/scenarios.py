@@ -56,7 +56,7 @@ Config schema (unknown sections or keys are errors):
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -171,17 +171,7 @@ _ALLOWED_KEYS = {
     "field": {"name", "params"},
     "reaction": {"name", "params"},
     "initial": {"kind", "params", "path"},
-    "solver": {
-        "delta",
-        "quad_nodes",
-        "picard_tol",
-        "picard_max_iter",
-        "flow_step_h",
-        "tv_blowup_threshold",
-        "dilation_mode",
-        "dilation_c",
-        "max_interval_tau",
-    },
+    "solver": {f.name for f in fields(SolverConfig)},
     "density": {"kind", "box", "cells", "p", "params", "path"},
     "output": {"snapshots"},
 }
@@ -329,21 +319,11 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
         solver_kwargs = {}
         if "solver" in parser:
             ssec = parser["solver"]
-            for key in ("delta", "picard_tol", "dilation_c"):
-                raw = _get(ssec, key)
+            for f in fields(SolverConfig):
+                raw = _get(ssec, f.name)
                 if raw is not None:
-                    solver_kwargs[key] = float(raw)
-            for key in ("quad_nodes", "picard_max_iter"):
-                raw = _get(ssec, key)
-                if raw is not None:
-                    solver_kwargs[key] = int(raw)
-            for key in ("flow_step_h", "tv_blowup_threshold", "max_interval_tau"):
-                raw = _get(ssec, key)
-                if raw is not None:
-                    solver_kwargs[key] = float(raw)
-            raw = _get(ssec, "dilation_mode")
-            if raw is not None:
-                solver_kwargs["dilation_mode"] = raw
+                    convert = float if f.default is None else type(f.default)
+                    solver_kwargs[f.name] = convert(raw)
         solver = SolverConfig(**solver_kwargs)
 
         snapshots = 11

@@ -101,7 +101,7 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
         c = np.array(params)
         speed = float(np.linalg.norm(c))
         return VelocityField(
-            eval=lambda t, x: np.broadcast_to(c, x.shape).copy(),
+            eval=lambda t, x: np.full(x.shape, c),
             sup_rate=lambda t: speed,
             lip_rate=lambda t: 0.0,
             dim=dim,
@@ -187,7 +187,7 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
 
         def _eval(t: float, x: np.ndarray) -> np.ndarray:
             scale = amp * np.sin(2.0 * np.pi * t / period)
-            return np.broadcast_to(scale * u, x.shape).copy()
+            return np.full(x.shape, scale * u)
 
         return VelocityField(
             eval=_eval,

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvt.measures
 from helpers import random_signed
-from mvt.geometry import EUCLIDEAN, TORUS
+from mvt.geometry import EUCLIDEAN, TORUS, distance
+from mvt.grids import quantize, uniform_density
 from mvt.measures import (
     COALESCE_EPS,
     BoundedLipschitzFunction,
@@ -102,6 +104,36 @@ def test_coalesce_idempotent_and_weighted_mean():
     # merged position is the |weight|-weighted mean
     assert mu.points[0, 0] == pytest.approx(0.75e-14)
     assert coalesce(mu).num_atoms == mu.num_atoms
+
+
+def test_coalesce_merges_noncanonical_torus_pair():
+    """1.3 is 0.3 on the torus: the pair merges to one canonical atom."""
+    mu = DiscreteSignedMeasure(np.array([[0.3], [1.3]]), np.array([1.0, 1.0]), TORUS)
+    out = coalesce(mu)
+    assert out.points.tolist() == [[0.3]]
+    assert out.weights.tolist() == [2.0]
+
+
+def test_quantize_2d_grid_makes_no_pair_loop(monkeypatch):
+    """Tied first coordinates cost no per-pair distance calls."""
+    counts = {"distance": 0, "merge_pass": 0}
+
+    def counted_distance(*args):
+        counts["distance"] += 1
+        return distance(*args)
+
+    merge_pass = mvt.measures._merge_pass
+
+    def counted_merge_pass(*args):
+        counts["merge_pass"] += 1
+        return merge_pass(*args)
+
+    monkeypatch.setattr(mvt.measures, "distance", counted_distance)
+    monkeypatch.setattr(mvt.measures, "_merge_pass", counted_merge_pass)
+    mu = quantize(uniform_density([0.0, 0.0], [1.0, 1.0], 64, 1.0, 2.0))
+    assert mu.num_atoms == 64 * 64
+    assert counts["merge_pass"] >= 1
+    assert counts["distance"] <= counts["merge_pass"]
 
 
 def test_multiply_by_function():
@@ -239,3 +271,75 @@ def test_linear_combine_shared_support_is_bitwise_coalesce(seed, n, dim, domain,
     assert got.points.tobytes() == want.points.tobytes()
     assert got.weights.tobytes() == want.weights.tobytes()
     assert got.domain == want.domain
+
+
+def _clustered_support(rng, dim, domain):
+    """Random atoms plus one far-apart cluster per forced eps-graph feature.
+
+    The chain sits at coordinates 0, eps and 2 * eps of one axis, so its
+    two edges have distance exactly eps.
+    """
+    eps = COALESCE_EPS
+    lo, hi = (0.0, 1.0) if domain == TORUS else (-1.5, 1.5)
+    axis = dim - 1  # the last axis: not the first coordinate when dim > 1
+    rows = list(rng.uniform(lo, hi, size=(int(rng.integers(0, 5)), dim)))
+    base = rng.uniform(lo, hi, size=dim)
+    rows += [base, base.copy(), base.copy()]  # exact duplicates
+    base = rng.uniform(lo, hi, size=dim)
+    for k in range(3):  # chain a ~ b ~ c with a !~ c
+        row = base.copy()
+        row[axis] = k * eps
+        rows.append(row)
+    tied = rng.uniform(lo, hi, size=(3, dim))
+    tied[:, 0] = tied[0, 0]
+    rows += list(tied)
+    base = rng.uniform(lo, hi, size=dim)
+    beyond = base.copy()
+    beyond[axis] += 1.01 * eps
+    rows += [base, beyond]
+    if domain == TORUS:
+        base = rng.uniform(lo, hi, size=dim)
+        wrap = base.copy()
+        base[axis], wrap[axis] = 0.25 * eps, 1.0 - 0.25 * eps
+        rows += [base, wrap]
+    pts = np.array(rows)
+    return pts[rng.permutation(pts.shape[0])]
+
+
+def _brute_force_components(pts, domain):
+    """Component label of each atom: the lowest index it is connected to."""
+    reach = distance(pts[:, None, :], pts[None, :, :], domain) <= COALESCE_EPS
+    while True:
+        grown = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(grown, reach):
+            return np.argmax(reach, axis=1)
+        reach = grown
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([EUCLIDEAN, TORUS]),
+)
+def test_coalesce_groups_are_eps_graph_components(seed, dim, domain):
+    """coalesce merges exactly the components of the all-pairs eps-graph."""
+    rng = np.random.default_rng(seed)
+    pts = _clustered_support(rng, dim, domain)
+    w = rng.uniform(-2.0, 2.0, size=pts.shape[0])
+    labels = _brute_force_components(pts, domain)
+    want = {}
+    for label in np.unique(labels):
+        total = np.sum(w[labels == label])
+        if abs(total) >= mvt.measures.WEIGHT_EPS:
+            want[int(label)] = total
+    out = coalesce(DiscreteSignedMeasure(pts, w, domain))
+    got = {}
+    for point, weight in zip(out.points, out.weights):
+        # A merged atom sits within its cluster, far from every other one.
+        nearest = int(np.argmin(distance(pts, point, domain)))
+        got[int(labels[nearest])] = weight
+    assert out.num_atoms == len(got)
+    assert sorted(got) == sorted(want)
+    for label, total in want.items():
+        assert got[label].tobytes() == total.tobytes()

@@ -1,4 +1,6 @@
 """Scenario configs: INI parsing, initial data builders, bundled registry."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mvt.scenarios import (
     initial_measure,
     parse_scenario,
 )
+from mvt.solver import SolverConfig
 from mvt.velocity import FIELD_NAMES, builtin_field
 
 MINIMAL = """\
@@ -133,6 +136,31 @@ snapshots = 3
     assert scenario.solver.dilation_mode == "auto"
     assert scenario.solver.max_interval_tau == 0.25
     assert output.snapshots == 3
+
+
+def test_parse_every_solver_key(tmp_path):
+    """Each SolverConfig field is a [solver] key, converted to its type."""
+    want = SolverConfig(
+        delta=2.5,
+        quad_nodes=17,
+        picard_tol=1e-9,
+        picard_max_iter=12,
+        flow_step_h=0.01,
+        tv_blowup_threshold=50.0,
+        dilation_mode="fixed",
+        dilation_c=0.5,
+        max_interval_tau=0.25,
+    )
+    default = SolverConfig()
+    keys = [f.name for f in fields(SolverConfig)]
+    assert len(keys) == 9
+    assert all(getattr(want, key) != getattr(default, key) for key in keys)
+    lines = [f"{key} = {getattr(want, key)}" for key in keys]
+    text = MINIMAL + "\n[solver]\n" + "\n".join(lines) + "\n"
+    scenario, _ = parse_scenario(_write(tmp_path, text))
+    assert scenario.solver == want
+    assert type(scenario.solver.quad_nodes) is int
+    assert type(scenario.solver.picard_max_iter) is int
 
 
 def test_parse_seed_key_controls_random_cloud(tmp_path):
