@@ -253,7 +253,10 @@ def _pruned_canonical(
     points: np.ndarray, weights: np.ndarray, domain: str
 ) -> DiscreteSignedMeasure:
     keep = np.abs(weights) >= WEIGHT_EPS
-    pts, wts = _canonical_order(points[keep], weights[keep])
+    pts = points[keep]
+    if domain == TORUS and not np.all((pts >= 0.0) & (pts < 1.0)):
+        pts = wrap_torus(pts)  # only then, so canonical points keep their bits
+    pts, wts = _canonical_order(pts, weights[keep])
     return DiscreteSignedMeasure(_readonly(pts), _readonly(wts), domain)
 
 

@@ -10,6 +10,8 @@ solves the dual, a min-cost transshipment over all pairs with a ground
 node, so agreement holds by strong duality.  The tests here hold the
 routes against each other and against closed forms.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,20 +95,39 @@ def test_oracle_agreement_torus(seed, n, dim):
     _certificate_ok(mu, res)
 
 
+def _line_support(rng, family: str, n: int):
+    """Points and weights on a line, one input family of the chain DP."""
+    if family == "uniform":
+        mu = random_signed(rng, n, 1, span=2.0)
+        return mu.points[:, 0], mu.weights
+    if family == "alternating":  # huge weights at tiny gaps move many entries
+        x = np.cumsum(rng.uniform(1e-6, 1e-2, size=n))
+        return x, rng.uniform(1.0, 100.0, size=n) * (-1.0) ** np.arange(n)
+    if family == "far":  # gaps >= 2 let the clamp empty both deques
+        x = np.cumsum(rng.choice([0.05, 0.5, 2.0, 3.5], size=n))
+        return x, rng.uniform(-2.0, 2.0, size=n)
+    # one-signed runs: the argmax sits at a wall
+    lengths = rng.integers(1, 60, size=n)
+    sign = np.repeat((-1.0) ** np.arange(n), lengths)[:n] * rng.choice([-1.0, 1.0])
+    return rng.uniform(-2.0, 2.0, size=n), sign * rng.uniform(0.05, 3.0, size=n)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_chain_matches_simplex_via_planar_embedding(seed):
     """1D chain route vs the 2D LP route on 150 atoms along a line."""
     rng = np.random.default_rng(seed)
-    mu = random_signed(rng, 150, 1, span=2.0)
-    planar = measure(
-        np.column_stack([mu.points[:, 0], np.zeros(mu.num_atoms)]), mu.weights
-    )
-    chain, lp = fm_norm(mu), fm_norm(planar)
-    assert lp.status == STATUS_OPTIMAL
-    assert lp.value == pytest.approx(chain.value, abs=1e-8)
-    _certificate_ok(mu, chain)
-    _certificate_ok(planar, lp)
+    for family in ("uniform", "alternating", "far", "runs"):
+        x, w = _line_support(rng, family, 150)
+        mu = measure(x[:, None], w)
+        planar = measure(
+            np.column_stack([mu.points[:, 0], np.zeros(mu.num_atoms)]), mu.weights
+        )
+        chain, lp = fm_norm(mu), fm_norm(planar)
+        assert lp.status == STATUS_OPTIMAL
+        assert lp.value == pytest.approx(chain.value, abs=1e-8), family
+        _certificate_ok(mu, chain)
+        _certificate_ok(planar, lp)
 
 
 @settings(max_examples=10, deadline=None)
@@ -172,11 +193,29 @@ def test_fm_distance_symmetry_and_identity(rng):
 
 
 def test_larger_1d_supports_stay_exact():
-    # chain recursion is exact at any size; spot-check one closed form:
-    # alternating +-1 at spacing h has norm n*h/..., just use oracle
-    # on a trimmed version for cross-checking instead.
+    # alternating +-1 at spacing h <= 2 with n even: f = +-h/2 on the
+    # +-1 atoms earns h per pair, so the norm is n*h/2
+    n, h = 200, 0.01
+    alternating = measure(h * np.arange(n)[:, None], (-1.0) ** np.arange(n))
+    assert fm_norm(alternating).value == pytest.approx(n * h / 2, abs=1e-12)
     rng = np.random.default_rng(11)
     mu = random_signed(rng, 200, 1, span=3.0)
     res = fm_norm(mu)
     assert res.status == STATUS_OPTIMAL
     _certificate_ok(mu, res)
+
+
+def test_chain_memory_is_linear():
+    """2000 atoms: the DP keeps one float per level, not every level."""
+    mu = random_signed(np.random.default_rng(8), 2000, 1, span=3.0)
+    tracemalloc.start()
+    try:
+        res = fm_norm(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    x, f = mu.points[:, 0], res.optimal_f_values  # sorted, so chain edges suffice
+    assert np.all(np.abs(f) <= 1.0 + 1e-9)
+    assert np.all(np.abs(np.diff(f)) <= np.diff(x) + 1e-9)
+    assert float(f @ mu.weights) == pytest.approx(res.value, abs=1e-9)

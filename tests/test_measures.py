@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import mvt.measures
 from helpers import random_signed
-from mvt.geometry import EUCLIDEAN, TORUS, distance
+from mvt.geometry import EUCLIDEAN, TORUS, distance, wrap_torus
 from mvt.grids import quantize, uniform_density
 from mvt.measures import (
     COALESCE_EPS,
@@ -112,6 +112,16 @@ def test_coalesce_merges_noncanonical_torus_pair():
     out = coalesce(mu)
     assert out.points.tolist() == [[0.3]]
     assert out.weights.tolist() == [2.0]
+
+
+def test_coalesce_wraps_unmerged_torus_atoms():
+    """Atoms outside [0, 1) that merge with nothing still come back wrapped."""
+    raw = np.array([[1.3], [2.7]])
+    out = coalesce(DiscreteSignedMeasure(raw, np.array([1.0, 1.0]), TORUS))
+    assert out.points.tolist() == wrap_torus(raw).tolist()
+    assert out.weights.tolist() == [1.0, 1.0]
+    single = coalesce(DiscreteSignedMeasure(np.array([[-0.25, 0.5]]), np.array([2.0]), TORUS))
+    assert single.points.tolist() == [[0.75, 0.5]]
 
 
 def test_quantize_2d_grid_makes_no_pair_loop(monkeypatch):
