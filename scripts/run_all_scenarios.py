@@ -2,7 +2,7 @@
 """Solve every bundled scenario and print a one-line summary for each.
 
 Usage:
-    python scripts/run_all_scenarios.py [--only NAME] [--out DIR]
+    python scripts/run_all_scenarios.py [--only NAME] [--out DIR] [--expect BENCH.json]
 
 The last column is a sha256 over the whole trajectory: times, every
 diagnostic array, each node's atom points and weights, each density's
@@ -11,9 +11,14 @@ digest exactly when their trajectories are bit-identical.
 
 With --out, each scenario also writes its trajectory.csv into
 DIR/<name>/ in the same format as ``mvt simulate``.
+
+With --expect, the digests are compared with ``scenarios.change.<name>.sha256``
+of a saved benchmark record such as BENCH_8.json; the script exits 1 and
+names every scenario whose digest moved.
 """
 import argparse
 import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -64,7 +69,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", default=None, help="run a single scenario")
     parser.add_argument("--out", default=None, help="directory for trajectory CSVs")
+    parser.add_argument("--expect", default=None,
+                        help="benchmark record whose scenario digests must match")
     args = parser.parse_args()
+    expected = None
+    if args.expect is not None:
+        with open(args.expect, encoding="utf-8") as fh:
+            expected = json.load(fh)["scenarios"]["change"]
 
     names = [args.only] if args.only else list(BUNDLED_SCENARIOS)
     header = (
@@ -73,6 +84,7 @@ def main() -> int:
     )
     print(header)
     print("-" * len(header))
+    moved = []
     for name in names:
         sc = bundled_scenario(name)
         start = time.perf_counter()
@@ -86,17 +98,26 @@ def main() -> int:
             initial_density=sc.density,
         )
         secs = time.perf_counter() - start
+        digest = trajectory_digest(traj)
+        if expected is not None and expected.get(name, {}).get("sha256") != digest:
+            moved.append(name)
         print(
             f"{name:<16} {len(traj.times):>6} {traj.final_time:>9.4f} "
             f"{traj.tv_norm[-1]:>12.6g} {traj.contraction_ratio.max():>9.3f} "
             f"{'yes' if traj.blown_up else 'no':>6} {secs:>7.2f} "
-            f"{trajectory_digest(traj)}",
+            f"{digest}",
             flush=True,
         )
         if args.out is not None:
             out_dir = Path(args.out) / name
             out_dir.mkdir(parents=True, exist_ok=True)
             write_trajectory_csv(out_dir / "trajectory.csv", traj)
+    if expected is None:
+        return 0
+    if moved:
+        print(f"digest moved from {args.expect}: {', '.join(moved)}", file=sys.stderr)
+        return 1
+    print(f"all {len(names)} digests match {args.expect}")
     return 0
 
 

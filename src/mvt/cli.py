@@ -3,7 +3,8 @@
 Exit codes: 0 success (a detected blow-up is a valid scientific outcome
 and still exits 0, with the flag printed), 1 failed verification
 checks, 2 configuration/usage errors, 3 solver failure (the Picard
-iteration did not contract).
+iteration did not contract); ``simulate`` still writes the intervals
+finished before the failure.
 """
 from __future__ import annotations
 
@@ -96,7 +97,10 @@ def _snapshot_indices(n_nodes: int, snapshots: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n_nodes - 1, count)).astype(int))
 
 
-def _write_snapshots(out_dir: Path, traj, snapshots: int) -> int:
+def _write_outputs(out_dir: Path, traj, snapshots: int) -> int:
+    """Write trajectory.csv and the snapshots; returns the snapshot count."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(out_dir / "trajectory.csv", traj)
     indices = _snapshot_indices(len(traj.times), snapshots)
     manifest = out_dir / "snapshots.csv"
     with open(manifest, "w", encoding="ascii", newline="") as fh:
@@ -119,6 +123,7 @@ def run_simulate(config_path: str, out: str | None) -> int:
     except ScenarioError as exc:
         print(f"mvt simulate: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(out) if out is not None else Path(scenario.name)
     try:
         traj = solve_maximal(
             scenario.reaction,
@@ -129,21 +134,22 @@ def run_simulate(config_path: str, out: str | None) -> int:
             scenario.solver,
             initial_density=scenario.density,
         )
-    except NonContractionError as exc:
-        print(
-            f"mvt simulate: Picard iteration failed to contract "
-            f"(measured ratio {exc.measured_ratio:.3g}): {exc}",
-            file=sys.stderr,
-        )
-        return 3
     except SolverError as exc:
-        print(f"mvt simulate: solver failure: {exc}", file=sys.stderr)
+        if isinstance(exc, NonContractionError):
+            print(
+                f"mvt simulate: Picard iteration failed to contract "
+                f"(measured ratio {exc.measured_ratio:.3g}): {exc}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"mvt simulate: solver failure: {exc}", file=sys.stderr)
+        if exc.partial is not None:
+            written = _write_outputs(out_dir, exc.partial, output.snapshots)
+            print(f"mvt simulate: kept the {len(exc.partial.times)} nodes solved before the "
+                  f"failure ({written} snapshots) in {out_dir}", file=sys.stderr)
         return 3
 
-    out_dir = Path(out) if out is not None else Path(scenario.name)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out_dir / "trajectory.csv", traj)
-    written = _write_snapshots(out_dir, traj, output.snapshots)
+    written = _write_outputs(out_dir, traj, output.snapshots)
 
     print(f"scenario: {scenario.name}")
     print(f"output: {out_dir} ({len(traj.times)} nodes, {written} snapshots)")

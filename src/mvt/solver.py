@@ -27,12 +27,11 @@ advance node to node, so atoms produced at different nodes stay aligned
 across sweeps and coalesce exactly.  The flow map depends on atom
 positions only, so a panel that receives the same support again in a
 later sweep reuses its advected positions instead of re-running RK4.
-Sweep arithmetic on a shared support runs no merge pass: when the two
-measures ``linear_combine`` adds sit on the same atoms and no two atoms
-are within the merge radius, their weights add atom by atom (see
-``measures._separated``).  With the zero field and a reaction that
-only rescales weights, the support never moves and every sweep takes
-that path.
+A reaction with no production only rescales weights, so every iterate
+sits at node k on the transport curve's support: on separated supports
+in canonical order, sweeps and Picard distances run as arithmetic on
+one (nodes, atoms) weight array, bitwise equal to the measure path,
+which takes over for the rest of an interval when a weight is pruned.
 """
 from __future__ import annotations
 
@@ -46,8 +45,13 @@ from .flat_metric import STATUS_OPTIMAL, fm_norm
 from .flow import default_step, lipschitz_bound
 from .grids import GridDensity, lp_norm, with_values
 from .measures import (
+    COALESCE_EPS,
+    WEIGHT_EPS,
     DiscreteSignedMeasure,
+    _readonly,
+    _separated,
     linear_combine,
+    multiply_by_function,
     negative_part_tv,
     tv_norm,
 )
@@ -66,6 +70,8 @@ _LP_BLOWUP_FACTOR = 1e6
 
 class SolverError(RuntimeError):
     """Raised when a solver contract is violated."""
+
+    partial: Trajectory | None = None  # set by solve_maximal: intervals finished first
 
 
 class NonContractionError(SolverError):
@@ -265,12 +271,88 @@ def _transport_curve(
     return out
 
 
+@dataclass(frozen=True)
+class _NodeWeights:
+    """Picard iterate of a reaction with no production, on fixed supports.
+
+    Such a reaction only rescales weights, so at node k every iterate sits
+    on the transport curve's support: ``points`` as this iterate stores it,
+    ``swept`` as sweeps return it.  Iterating yields the node measures.
+    """
+
+    nu: DiscreteSignedMeasure
+    points: list[np.ndarray]
+    swept: list[np.ndarray]
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        yield self.nu
+        for p, w in zip(self.points[1:], self.weights[1:]):
+            yield DiscreteSignedMeasure(p, _readonly(w), self.nu.domain)
+
+
+def _fixed_supports(
+    spec: ReactionSpec, curve: list[DiscreteSignedMeasure], c: float
+) -> _NodeWeights | None:
+    """The transport curve as a ``_NodeWeights``, or None if sweeps need measures.
+
+    Every node needs a nonempty support in canonical order that
+    ``measures._separated`` clears, so that each ``linear_combine`` of
+    the measure path adds weights atom by atom.  That adds 0.0 to the
+    points; with neither rate nor shift every sum is a concatenation,
+    which does not.
+    """
+    nu, points = curve[0], [mu.points for mu in curve]
+    if spec.production is not None or not nu.num_atoms or not all(
+        np.all(p[1:, 0] > p[:-1, 0]) and _separated(p, nu.domain, COALESCE_EPS) for p in points
+    ):
+        return None
+    swept = points
+    if spec.rate is not None or c != 0.0:
+        swept = points[:1] + [_readonly(p + 0.0) for p in points[1:]]
+    return _NodeWeights(nu, points, swept, np.tile(nu.weights, (len(points), 1)))
+
+
+def _sweep_weights(
+    spec: ReactionSpec, times: np.ndarray, curve: _NodeWeights, c: float
+) -> _NodeWeights | None:
+    """``_sweep_measures`` on the weight array, or None where it would prune.
+
+    Each step is the measure path's arithmetic on the same values, so the
+    result is bitwise equal.
+    """
+    w = curve.weights
+    g = c * w  # with no rate and c = 0: zeros, which add nothing
+    if spec.rate is not None:
+        rated = [multiply_by_function(spec.rate(float(t_j), mu), mu)
+                 for t_j, mu in zip(times, curve)]
+        if any(r.num_atoms < w.shape[1] for r in rated):
+            return None
+        g = np.array([r.weights for r in rated]) + g
+    if c != 0.0 and np.any(np.abs(g) < WEIGHT_EPS):
+        return None
+    ds = float(times[1] - times[0])
+    decay = math.exp(-c * ds)
+    hg = (0.5 * ds) * g
+    half, out = np.empty_like(w), np.empty_like(w)
+    acc = out[0] = w[0]
+    for k in range(len(times) - 1):
+        half[k] = acc + hg[k]
+        acc = out[k + 1] = decay * half[k] + hg[k + 1]
+    if np.any(np.abs(half[:-1]) < WEIGHT_EPS) or np.any(np.abs(out[1:]) < WEIGHT_EPS):
+        return None
+    return _NodeWeights(curve.nu, curve.swept, curve.swept, out)
+
+
 def _sweep_measures(
     spec: ReactionSpec,
     panels: _AtomPanels,
-    curve: Sequence[DiscreteSignedMeasure],
+    curve: _NodeWeights | Sequence[DiscreteSignedMeasure],
     c: float,
-) -> list[DiscreteSignedMeasure]:
+) -> _NodeWeights | list[DiscreteSignedMeasure]:
     """One application of the (dilated) Picard operator on the node grid.
 
     Uses the incremental trapezoid identity: with ds the node spacing and
@@ -281,7 +363,16 @@ def _sweep_measures(
 
     which unrolls exactly to the composite-trapezoid discretization of
     the dilated variation-of-constants integral.
+
+    A ``_NodeWeights`` curve is swept on its weight array while that
+    stays bitwise; otherwise as measures, for the rest of the interval.
+    perfbench's tracer counts sweeps through this one function.
     """
+    if isinstance(curve, _NodeWeights):
+        swept = _sweep_weights(spec, panels.times, curve, c)
+        if swept is not None:
+            return swept
+        curve = list(curve)
     times = panels.times
     ds = float(times[1] - times[0])
     decay = math.exp(-c * ds)
@@ -344,18 +435,25 @@ def _fm_of(diff: DiscreteSignedMeasure) -> float:
 
 
 def _curve_distance(
-    new: Sequence[DiscreteSignedMeasure],
-    old: Sequence[DiscreteSignedMeasure],
+    new: _NodeWeights | list[DiscreteSignedMeasure],
+    old: _NodeWeights | list[DiscreteSignedMeasure],
     tol: float,
 ) -> float:
     """sup over nodes of the flat distance between two iterates.
 
     Total variation dominates the flat norm, so nodes whose TV gap is
-    already far below tolerance skip the LP.
+    already far below tolerance skip the LP.  Two ``_NodeWeights`` are
+    subtracted on the shared support, as ``linear_combine`` would.
     """
+    if isinstance(new, _NodeWeights) and isinstance(old, _NodeWeights):
+        diff = new.weights - old.weights
+        keep = np.abs(diff) >= WEIGHT_EPS
+        diffs = (DiscreteSignedMeasure(p[row] + 0.0, x[row], new.nu.domain)
+                 for p, x, row in zip(new.points, diff, keep))
+    else:
+        diffs = (linear_combine(1.0, a, -1.0, b) for a, b in zip(new, old))
     worst = 0.0
-    for a, b in zip(new, old):
-        diff = linear_combine(1.0, a, -1.0, b)
+    for diff in diffs:
         d = tv_norm(diff)
         if d > 1e-3 * tol:
             d = _fm_of(diff)
@@ -442,6 +540,7 @@ def _fixed_point(
     h = config.flow_step_h if config.flow_step_h is not None else default_step(tau)
     atom_panels = _AtomPanels(v, times, h)
     curve = _transport_curve(atom_panels, nu)
+    curve = _fixed_supports(spec, curve, c) or curve
     panels = None
     dens_vals: list[np.ndarray] | None = None
     dens_tol = math.inf
@@ -483,6 +582,7 @@ def _fixed_point(
             measured_ratio=ratio,
         )
 
+    curve = list(curve)
     ball = tv_norm(nu) + config.delta
     slack = 1e-6 * ball + 10.0 * config.picard_tol
     worst_tv = max(tv_norm(m) for m in curve)
@@ -637,46 +737,50 @@ def solve_maximal(
     cur_mu = nu
     cur_u = initial_density
     t = t0
-    for _ in range(_MAX_INTERVALS):
-        remaining = horizon - t
-        if remaining <= 1e-12 * max(1.0, abs(span)):
-            break
-        cap = remaining
-        if config.max_interval_tau is not None:
-            cap = min(cap, config.max_interval_tau)
-        tau = choose_step(
-            spec, tv_norm(cur_mu), config.delta, velocity=v, t0=t, cap=cap
-        )
-        if tau >= remaining * (1.0 - 1e-12):
-            tau = remaining
-        seg = solve_interval(
-            spec, v, t, tau, cur_mu, config, initial_density=cur_u
-        )
-        pieces.append(seg)
-        # Earlier intervals passed the check, so only this one's nodes
-        # are scanned; its node 0 is the previous final node (or nu).
-        over_tv = np.flatnonzero(seg.tv_norm > tv_threshold)
-        over_lp = np.flatnonzero(seg.lp_norm > lp_threshold)
-        if over_tv.size or over_lp.size:
-            idx = int(min(
-                over_tv[0] if over_tv.size else np.inf,
-                over_lp[0] if over_lp.size else np.inf,
-            ))
-            traj = _join(pieces, stop=stored + idx + 1)
-            if over_tv.size and over_tv[0] == idx:
-                traj.blown_up = True
-                traj.blowup_time = traj.final_time
-            if over_lp.size and over_lp[0] == idx:
-                traj.density_blown_up = True
-                traj.density_blowup_time = traj.final_time
-            return traj
-        stored += len(seg.times) - 1
-        cur_mu = seg.final_measure
-        if seg.densities is not None:
-            cur_u = seg.densities[-1]
-        t = seg.final_time
-    else:
-        raise SolverError("interval budget exhausted before reaching the horizon")
+    try:
+        for _ in range(_MAX_INTERVALS):
+            remaining = horizon - t
+            if remaining <= 1e-12 * max(1.0, abs(span)):
+                break
+            cap = remaining
+            if config.max_interval_tau is not None:
+                cap = min(cap, config.max_interval_tau)
+            tau = choose_step(
+                spec, tv_norm(cur_mu), config.delta, velocity=v, t0=t, cap=cap
+            )
+            if tau >= remaining * (1.0 - 1e-12):
+                tau = remaining
+            seg = solve_interval(
+                spec, v, t, tau, cur_mu, config, initial_density=cur_u
+            )
+            pieces.append(seg)
+            # Earlier intervals passed the check, so only this one's nodes
+            # are scanned; its node 0 is the previous final node (or nu).
+            over_tv = np.flatnonzero(seg.tv_norm > tv_threshold)
+            over_lp = np.flatnonzero(seg.lp_norm > lp_threshold)
+            if over_tv.size or over_lp.size:
+                idx = int(min(
+                    over_tv[0] if over_tv.size else np.inf,
+                    over_lp[0] if over_lp.size else np.inf,
+                ))
+                traj = _join(pieces, stop=stored + idx + 1)
+                if over_tv.size and over_tv[0] == idx:
+                    traj.blown_up = True
+                    traj.blowup_time = traj.final_time
+                if over_lp.size and over_lp[0] == idx:
+                    traj.density_blown_up = True
+                    traj.density_blowup_time = traj.final_time
+                return traj
+            stored += len(seg.times) - 1
+            cur_mu = seg.final_measure
+            if seg.densities is not None:
+                cur_u = seg.densities[-1]
+            t = seg.final_time
+        else:
+            raise SolverError("interval budget exhausted before reaching the horizon")
+    except SolverError as exc:
+        exc.partial = _join(pieces) if pieces else None
+        raise
     if not pieces:
         raise SolverError("empty horizon")
     traj = _join(pieces)

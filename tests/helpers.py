@@ -1,8 +1,9 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and solver fault injection shared across the test modules."""
 from __future__ import annotations
 
 import numpy as np
 
+from mvt import solver
 from mvt.geometry import EUCLIDEAN, TORUS
 from mvt.measures import BoundedLipschitzFunction, DiscreteSignedMeasure, measure
 
@@ -51,3 +52,17 @@ def random_sine_function(rng: np.random.Generator, dim: int) -> BoundedLipschitz
         lip_bound=abs(a) * float(np.linalg.norm(b)),
         name="sine",
     )
+
+
+def fail_fixed_point_on_call(monkeypatch, n: int) -> None:
+    """Make ``solver._fixed_point`` raise NonContractionError on its n-th call."""
+    fixed_point = solver._fixed_point
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == n:
+            raise solver.NonContractionError("forced failure", measured_ratio=0.9)
+        return fixed_point(*args)
+
+    monkeypatch.setattr(solver, "_fixed_point", failing)

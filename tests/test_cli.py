@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from helpers import fail_fixed_point_on_call
 from mvt.cli import main, run_simulate
 from mvt.geometry import TORUS
 from mvt.measures import dirac, measure, save_measure
@@ -98,6 +99,21 @@ def test_simulate_noncontraction_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, BASIC + "\n[solver]\npicard_max_iter = 1\n")
     assert main(["simulate", "--config", cfg]) == 3
     assert "contract" in capsys.readouterr().err
+
+
+def test_simulate_failure_writes_finished_intervals(tmp_path, capsys, monkeypatch):
+    # linear_mass runs five intervals; the second one fails
+    fail_fixed_point_on_call(monkeypatch, 2)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(CONFIG_DIR / "linear_mass.ini"),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "contract" in err and "kept the 65 nodes" in err
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 65
+    assert rows[-1].startswith("0.1,")
+    for row in (out / "snapshots.csv").read_text().splitlines()[1:]:
+        assert (out / row.split(",")[2]).exists()
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):

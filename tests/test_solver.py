@@ -1,12 +1,23 @@
 """Picard fixed point, dilation, chaining, and blow-up detection."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import fail_fixed_point_on_call
+from mvt import solver
 from mvt.flat_metric import fm_distance, fm_norm
 from mvt.flow import default_step
 from mvt.geometry import TORUS
 from mvt.grids import lp_norm, quantize, uniform_density
-from mvt.measures import dirac, linear_combine, measure, negative_part_tv, tv_norm
+from mvt.measures import (
+    DiscreteSignedMeasure,
+    dirac,
+    linear_combine,
+    measure,
+    negative_part_tv,
+    tv_norm,
+)
 from mvt.reactions import builtin_reaction
 from mvt.solver import (
     NonContractionError,
@@ -371,6 +382,164 @@ def test_interval_matches_public_picard_iteration_bitwise():
         assert np.array_equal(a.weights, b.weights)
 
 
+# --- rate-only sweeps on weight arrays --------------------------------------
+
+TRAJECTORY_ARRAYS = ("times", "tv_norm", "neg_part_tv", "fm_step_distance",
+                     "picard_iters", "contraction_ratio", "lp_norm")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SolverError as exc:
+        return type(exc), str(exc)
+
+
+def _both_paths(run):
+    """run() as shipped, and with every sweep forced onto measures.
+
+    Also returns, per attempted weight-array sweep, whether it stayed on
+    arrays.
+    """
+    on_arrays = []
+    sweep_weights = solver._sweep_weights
+
+    def spy(*args):
+        out = sweep_weights(*args)
+        on_arrays.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_sweep_weights", spy)
+        fast = _outcome(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_fixed_supports", lambda spec, curve, c: None)
+        slow = _outcome(run)
+    return fast, slow, on_arrays
+
+
+def _assert_bitwise(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):  # both raised
+        assert a == b
+        return
+    for name in TRAJECTORY_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert len(a.measures) == len(b.measures)
+    for m, n in zip(a.measures, b.measures):
+        assert m.points.shape == n.points.shape
+        assert m.points.tobytes() == n.points.tobytes()
+        assert m.weights.tobytes() == n.weights.tobytes()
+
+
+RATE_ONLY = [("linear_rate", [1.5]), ("logistic", [1.0, 2.0]), ("mass_rate", [0.8]),
+             ("death_rate", [0.7]), ("zero", [])]
+
+
+@settings(max_examples=80, deadline=None)
+@example(("zero", []), "linear", 1, 0.0, 2, 0, True)
+@example(("linear_rate", [1.5]), "linear", 2, 0.0, 3, 0, True)
+@example(("death_rate", [0.7]), "linear", 1, 0.7, 2, 0, True)
+@given(
+    reaction=st.sampled_from(RATE_ONLY),
+    field=st.sampled_from(["zero", "constant", "linear", "shear", "torus"]),
+    dim=st.integers(1, 3),
+    shift=st.sampled_from([0.0, 0.7, 1.3]),
+    n_atoms=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    signed_zero=st.booleans(),
+)
+def test_rate_only_interval_bitwise_on_both_paths(
+    reaction, field, dim, shift, n_atoms, seed, signed_zero
+):
+    # death_rate with shift 0.7 cancels g exactly and so prunes it: that
+    # case checks the fallback; the others mostly stay on arrays.  The
+    # linear field has a > 0, so a*x keeps a -0.0 coordinate as it moves.
+    rng = np.random.default_rng(seed)
+    domain = TORUS if field == "torus" else "euclidean"
+    dim = 2 if field == "shear" else dim
+    v = {
+        "zero": lambda: zero_field(dim),
+        "constant": lambda: builtin_field("constant", list(rng.uniform(-1, 1, dim)), dim),
+        "linear": lambda: builtin_field("linear", [float(rng.uniform(0.1, 1))], dim),
+        "shear": lambda: builtin_field("shear", [float(rng.uniform(-1, 1))], 2),
+        "torus": lambda: builtin_field("constant", list(rng.uniform(-1, 1, dim)), dim),
+    }[field]()
+    lo = 0.0 if domain == TORUS else -1.0
+    pts = rng.uniform(lo, 1.0, size=(n_atoms, dim))
+    if signed_zero:
+        pts[0, -1] = -0.0
+    wts = rng.uniform(0.2, 1.5, size=n_atoms) * rng.choice([-1.0, 1.0], size=n_atoms)
+    nu = measure(pts, wts, domain)
+    assert not signed_zero or domain == TORUS or np.signbit(nu.points).any()
+    spec = builtin_reaction(*reaction)
+    config = SolverConfig(quad_nodes=int(rng.integers(3, 10)),
+                          dilation_mode="fixed" if shift else "none", dilation_c=shift)
+    tau = choose_step(spec, tv_norm(nu), config.delta, velocity=v, cap=0.3)
+    fast, slow, _ = _both_paths(lambda: solve_interval(spec, v, 0.0, tau, nu, config))
+    _assert_bitwise(fast, slow)
+
+
+def test_death_rate_cancelled_by_shift_falls_back():
+    # auto dilation shifts death_rate a by c = a, so g = -a w + a w is 0
+    # and pruned to nothing: the measure path runs every sweep
+    spec = builtin_reaction("death_rate", [1.0])
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[0.0], [0.5]], [1.0, 0.5])
+    config = SolverConfig(quad_nodes=9, dilation_mode="auto")
+    fast, slow, on_arrays = _both_paths(lambda: solve_interval(spec, v, 0.0, 0.4, nu, config))
+    assert on_arrays and not any(on_arrays)
+    _assert_bitwise(fast, slow)
+
+
+def test_weight_pruned_in_later_sweep_falls_back():
+    # logistic decay speeds up as mass falls, so the first sweep keeps
+    # the small atom above WEIGHT_EPS and the second drops it at the
+    # last node: the interval leaves the arrays part-way through
+    spec = builtin_reaction("logistic", [-4.0, 1.0])
+    v = builtin_field("constant", [0.3], 1)
+    nu = DiscreteSignedMeasure(np.array([[0.0], [0.5]]), np.array([0.7, 1.11e-15]))
+    config = SolverConfig(quad_nodes=9)
+    fast, slow, on_arrays = _both_paths(lambda: solve_interval(spec, v, 0.0, 0.08, nu, config))
+    assert on_arrays == [True, False]
+    assert fast.final_measure.num_atoms == 1
+    _assert_bitwise(fast, slow)
+
+
+def test_support_reordered_by_torus_wrap_stays_on_measures():
+    # the atom at 0.95 wraps past 1 and becomes the first atom, so the
+    # support leaves canonical order and the measure path sorts it
+    spec = builtin_reaction("linear_rate", [1.5])
+    v = builtin_field("constant", [0.8], 1)
+    nu = measure([[0.3], [0.95]], [1.0, 0.5], TORUS)
+    fast, slow, on_arrays = _both_paths(
+        lambda: solve_interval(spec, v, 0.0, 0.3, nu, SolverConfig(quad_nodes=9)))
+    assert on_arrays == []
+    assert fast.final_measure.points[0, 0] < 0.3
+    _assert_bitwise(fast, slow)
+
+
+def test_production_never_runs_on_arrays():
+    spec = builtin_reaction("dirac_source", [0.5, 0.7])
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[0.0], [0.5]], [1.0, 0.5])
+    config = SolverConfig(quad_nodes=9, max_interval_tau=0.2)
+    fast, slow, on_arrays = _both_paths(
+        lambda: solve_maximal(spec, v, nu, 0.0, 0.5, config))
+    assert on_arrays == []
+    _assert_bitwise(fast, slow)
+
+
+def test_rate_reaction_sweeps_on_arrays():
+    spec = builtin_reaction("logistic", [1.0, 2.0])
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[-0.5], [0.0], [0.4]], [1.5, 1.0, 0.5])
+    config = SolverConfig(quad_nodes=33, dilation_mode="auto")
+    fast, slow, on_arrays = _both_paths(lambda: solve_maximal(spec, v, nu, 0.0, 0.3, config))
+    assert len(on_arrays) > 3 and all(on_arrays)
+    _assert_bitwise(fast, slow)
+
+
 # --- solve_maximal ----------------------------------------------------------
 
 def test_maximal_zero_reaction_reaches_horizon():
@@ -490,6 +659,26 @@ def test_maximal_equals_hand_chained_intervals():
     assert len(traj.densities) == len(densities)
     for a, b in zip(traj.densities, densities):
         assert np.array_equal(a.values, b.values)
+
+
+def test_maximal_failure_keeps_finished_intervals(monkeypatch):
+    spec = builtin_reaction("linear_rate", [2.0])
+    config = SolverConfig(quad_nodes=9, max_interval_tau=0.1)
+    nu = dirac(0.2, 1.5)
+    first = solve_interval(spec, zero_field(1), 0.0, 0.1, nu, config)
+    fail_fixed_point_on_call(monkeypatch, 2)
+    with pytest.raises(NonContractionError) as err:
+        solve_maximal(spec, zero_field(1), nu, 0.0, 0.5, config)
+    partial = err.value.partial
+    assert not partial.reached_horizon
+    _assert_bitwise(partial, first)
+
+
+def test_maximal_failure_in_first_interval_keeps_nothing(monkeypatch):
+    fail_fixed_point_on_call(monkeypatch, 1)
+    with pytest.raises(NonContractionError) as err:
+        solve_maximal(ZERO, zero_field(1), dirac(0.0), 0.0, 0.5, SolverConfig())
+    assert err.value.partial is None
 
 
 def test_maximal_rejects_bad_horizon():
