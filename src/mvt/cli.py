@@ -3,8 +3,9 @@
 Exit codes: 0 success (a detected blow-up is a valid scientific outcome
 and still exits 0, with the flag printed), 1 failed verification
 checks, 2 configuration/usage errors, 3 solver failure (the Picard
-iteration did not contract); ``simulate`` still writes the intervals
-finished before the failure.
+iteration did not contract, or a flat-norm LP could not certify its
+value); ``simulate`` still writes the intervals finished before the
+failure.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .flat_metric import FlatNormError, fm_distance
 from .grids import save_density
 from .harness import SUITE_NAMES, run_suite
 from .measures import MeasureError, load_measure, save_measure
@@ -174,7 +176,7 @@ def run_verify(suite: str, seed: int) -> int:
         return 2
     try:
         reports = run_suite(suite, seed=seed)
-    except (ScenarioError, SolverError) as exc:
+    except (ScenarioError, SolverError, FlatNormError) as exc:
         print(f"mvt verify: {exc}", file=sys.stderr)
         return 3
     for report in reports:
@@ -187,8 +189,6 @@ def _significant(value: float, digits: int = 12) -> str:
 
 
 def run_metric(path_a: str, path_b: str, domain: str) -> int:
-    from .flat_metric import fm_distance
-
     try:
         mu = load_measure(path_a, domain)
         nu = load_measure(path_b, domain)
@@ -206,6 +206,9 @@ def run_metric(path_a: str, path_b: str, domain: str) -> int:
     except (MeasureError, ValueError) as exc:
         print(f"mvt metric: {exc}", file=sys.stderr)
         return 2
+    except FlatNormError as exc:
+        print(f"mvt metric: {exc}", file=sys.stderr)
+        return 3
     print(_significant(value))
     return 0
 

@@ -54,7 +54,4 @@ def distance(a: np.ndarray, b: np.ndarray, domain: str) -> np.ndarray:
 def pairwise_distances(points: np.ndarray, domain: str) -> np.ndarray:
     """Dense (n, n) distance matrix for a point array of shape (n, d)."""
     pts = np.asarray(points, dtype=float)
-    delta = pts[:, None, :] - pts[None, :, :]
-    if domain == TORUS:
-        delta = delta - np.round(delta)
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+    return distance(pts[:, None, :], pts[None, :, :], domain)

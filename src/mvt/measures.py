@@ -319,6 +319,20 @@ def linear_combine(
     return coalesce(DiscreteSignedMeasure(_readonly(pts), _readonly(wts), mu.domain))
 
 
+def _function_values(
+    g: BoundedLipschitzFunction | Callable[[np.ndarray], np.ndarray],
+    mu: DiscreteSignedMeasure,
+) -> np.ndarray:
+    """g at each atom of mu, as a flat array; errors on a wrong count or non-finite values."""
+    values = np.asarray(g(mu.points) if callable(g) else g.evaluate(mu.points), dtype=float)
+    values = values.reshape(-1)
+    if values.shape[0] != mu.num_atoms:
+        raise MeasureError("function returned wrong number of values")
+    if not np.all(np.isfinite(values)):
+        raise MeasureError("function returned non-finite values on the support")
+    return values
+
+
 def multiply_by_function(
     g: BoundedLipschitzFunction | Callable[[np.ndarray], np.ndarray],
     mu: DiscreteSignedMeasure,
@@ -326,13 +340,7 @@ def multiply_by_function(
     """Measure with weights w_i * g(x_i); errors on non-finite values."""
     if mu.num_atoms == 0:
         return mu
-    values = np.asarray(g(mu.points) if callable(g) else g.evaluate(mu.points), dtype=float)
-    values = values.reshape(-1)
-    if values.shape[0] != mu.num_atoms:
-        raise MeasureError("function returned wrong number of values")
-    if not np.all(np.isfinite(values)):
-        raise MeasureError("function returned non-finite values on the support")
-    wts = mu.weights * values
+    wts = mu.weights * _function_values(g, mu)
     keep = np.abs(wts) >= WEIGHT_EPS
     return DiscreteSignedMeasure(
         _readonly(mu.points[keep]), _readonly(wts[keep]), mu.domain

@@ -42,7 +42,8 @@ from .measures import (
     negative_part_tv,
     tv_norm,
 )
-from .flat_metric import fm_distance, fm_norm
+from .flat_metric import fm_distance
+from .transport import conjugate_exponent
 
 REACTION_NAMES = (
     "zero",
@@ -216,8 +217,6 @@ def builtin_reaction(
 
         def _logistic_lp(p: float, r: float, t0: float, t1: float) -> float:
             # On a box of volume V, mass <= V^(1/q) * ||phi||_p by Hoelder.
-            from .transport import conjugate_exponent
-
             vol_factor = domain_volume ** (1.0 / conjugate_exponent(p))
             return abs(r_rate) * (1.0 + vol_factor * r / capacity) * r
 
@@ -301,8 +300,6 @@ def builtin_reaction(
             return with_values(u, alpha * density_mass(u) * u.values)
 
         def _mass_lp(p: float, r: float, t0: float, t1: float) -> float:
-            from .transport import conjugate_exponent
-
             vol_factor = domain_volume ** (1.0 / conjugate_exponent(p))
             return abs(alpha) * vol_factor * r * r
 
@@ -390,7 +387,7 @@ def verify_assumptions(
             violations.append(("c_f", t, tv_norm(out1), bound_tv))
         out2 = eval_reaction(spec, t, mu2)
         lip_checked += 1
-        lhs = fm_norm(linear_combine(1.0, out1, -1.0, out2)).value
+        lhs = fm_distance(out1, out2)
         rhs = spec.l_f(R) * fm_distance(mu1, mu2)
         if lhs > rhs * slack + 1e-12:
             violations.append(("l_f", t, lhs, rhs))

@@ -22,7 +22,9 @@ dilated one keeps every iterate positive term by term.
 
 Discretization commitments (the corresponding continuum statements are
 exact): the time integral uses composite trapezoid on ``quad_nodes``
-uniform nodes; iterates live on that grid as particle measures; flows
+uniform nodes, as one incremental recurrence (``_trapezoid``) that
+sweeps particle measures, density cell values and weight arrays
+alike; iterates live on that grid as particle measures; flows
 advance node to node, so atoms produced at different nodes stay aligned
 across sweeps and coalesce exactly.  The flow map depends on atom
 positions only, so a panel that receives the same support again in a
@@ -48,10 +50,10 @@ from .measures import (
     COALESCE_EPS,
     WEIGHT_EPS,
     DiscreteSignedMeasure,
+    _function_values,
     _readonly,
     _separated,
     linear_combine,
-    multiply_by_function,
     negative_part_tv,
     tv_norm,
 )
@@ -262,12 +264,38 @@ class _AtomPanels:
         return moved
 
 
-def _transport_curve(
-    panels: _AtomPanels, nu: DiscreteSignedMeasure
-) -> list[DiscreteSignedMeasure]:
-    out = [nu]
+def _transport_curve(panels: _AtomPanels | _DensityPanels, start):
+    """``start`` pushed panel by panel: the iterate of zero reaction and shift."""
+    out = [start]
     for k in range(len(panels.times) - 1):
         out.append(panels.push(k, out[-1]))
+    return out
+
+
+def _axpby(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
+    return a * x + b * y
+
+
+def _trapezoid(times: np.ndarray, start, g: Sequence, c: float, push, combine) -> list:
+    """One application of the (dilated) Picard operator on the node grid.
+
+    Uses the incremental trapezoid identity: with ds the node spacing and
+    g_j = f_{t_j}(mu_j) + c mu_j,
+
+        out_{k+1} = e^{-c ds} P_{t_k, t_{k+1}}[out_k + (ds/2) g_k]
+                    + (ds/2) g_{k+1},
+
+    which unrolls exactly to the composite-trapezoid discretization of
+    the dilated variation-of-constants integral.  ``push(k, x)`` is
+    P_{t_k, t_{k+1}} and ``combine(a, x, b, y)`` is a x + b y, on
+    measures, density values or weight rows alike.
+    """
+    ds = float(times[1] - times[0])
+    decay = math.exp(-c * ds)
+    out = [start]
+    for k in range(len(times) - 1):
+        moved = push(k, combine(1.0, out[-1], 0.5 * ds, g[k]))
+        out.append(combine(decay, moved, 0.5 * ds, g[k + 1]))
     return out
 
 
@@ -327,22 +355,16 @@ def _sweep_weights(
     w = curve.weights
     g = c * w  # with no rate and c = 0: zeros, which add nothing
     if spec.rate is not None:
-        rated = [multiply_by_function(spec.rate(float(t_j), mu), mu)
-                 for t_j, mu in zip(times, curve)]
-        if any(r.num_atoms < w.shape[1] for r in rated):
+        rated = np.array([mu.weights * _function_values(spec.rate(float(t_j), mu), mu)
+                          for t_j, mu in zip(times, curve)])
+        if not np.all(np.abs(rated) >= WEIGHT_EPS):  # multiply_by_function's keep rule
             return None
-        g = np.array([r.weights for r in rated]) + g
+        g = rated + g
     if c != 0.0 and np.any(np.abs(g) < WEIGHT_EPS):
         return None
-    ds = float(times[1] - times[0])
-    decay = math.exp(-c * ds)
-    hg = (0.5 * ds) * g
-    half, out = np.empty_like(w), np.empty_like(w)
-    acc = out[0] = w[0]
-    for k in range(len(times) - 1):
-        half[k] = acc + hg[k]
-        acc = out[k + 1] = decay * half[k] + hg[k + 1]
-    if np.any(np.abs(half[:-1]) < WEIGHT_EPS) or np.any(np.abs(out[1:]) < WEIGHT_EPS):
+    out = np.array(_trapezoid(times, w[0], g, c, lambda k, x: x, _axpby))
+    half = out[:-1] + (0.5 * float(times[1] - times[0])) * g[:-1]
+    if np.any(np.abs(half) < WEIGHT_EPS) or np.any(np.abs(out[1:]) < WEIGHT_EPS):
         return None
     return _NodeWeights(curve.nu, curve.swept, curve.swept, out)
 
@@ -353,16 +375,7 @@ def _sweep_measures(
     curve: _NodeWeights | Sequence[DiscreteSignedMeasure],
     c: float,
 ) -> _NodeWeights | list[DiscreteSignedMeasure]:
-    """One application of the (dilated) Picard operator on the node grid.
-
-    Uses the incremental trapezoid identity: with ds the node spacing and
-    g_j = f_{t_j}(mu_j) + c mu_j,
-
-        out_{k+1} = e^{-c ds} P_{t_k, t_{k+1}}[out_k + (ds/2) g_k]
-                    + (ds/2) g_{k+1},
-
-    which unrolls exactly to the composite-trapezoid discretization of
-    the dilated variation-of-constants integral.
+    """``_trapezoid`` on measures, with g_j = f_{t_j}(mu_j) + c mu_j.
 
     A ``_NodeWeights`` curve is swept on its weight array while that
     stays bitwise; otherwise as measures, for the rest of the interval.
@@ -373,23 +386,13 @@ def _sweep_measures(
         if swept is not None:
             return swept
         curve = list(curve)
-    times = panels.times
-    ds = float(times[1] - times[0])
-    decay = math.exp(-c * ds)
     g = []
-    for t_j, mu_j in zip(times, curve):
+    for t_j, mu_j in zip(panels.times, curve):
         r = eval_reaction(spec, float(t_j), mu_j)
         if c != 0.0:
             r = linear_combine(1.0, r, c, mu_j)
         g.append(r)
-    out = [curve[0]]
-    acc = curve[0]
-    for k in range(len(times) - 1):
-        half = linear_combine(1.0, acc, 0.5 * ds, g[k])
-        moved = panels.push(k, half)
-        acc = linear_combine(decay, moved, 0.5 * ds, g[k + 1])
-        out.append(acc)
-    return out
+    return _trapezoid(panels.times, curve[0], g, c, panels.push, linear_combine)
 
 
 def picard_step(
@@ -474,52 +477,26 @@ class _DensityPanels:
 
     def __init__(self, v: VelocityField, grid: GridDensity, times: np.ndarray, h: float):
         self.grid = grid
+        self.times = times
         self.chars = [
             backward_characteristics(v, float(times[k]), float(times[k + 1]), grid, h)
             for k in range(len(times) - 1)
         ]
 
     def push(self, k: int, values: np.ndarray) -> np.ndarray:
-        carrier = with_values(self.grid, values.reshape(self.grid.values.shape))
-        return transported_values(carrier, *self.chars[k])
-
-
-def _density_reaction_values(
-    spec: ReactionSpec, t: float, u: GridDensity
-) -> np.ndarray:
-    if spec.density_action is None:
-        return np.zeros_like(u.values)
-    return spec.density_action(t, u).values
-
-
-def _transport_density_curve(panels: _DensityPanels, u0: GridDensity, n_nodes: int) -> list[np.ndarray]:
-    vals = [np.asarray(u0.values, dtype=float)]
-    for k in range(n_nodes - 1):
-        vals.append(panels.push(k, vals[-1]))
-    return vals
+        return transported_values(with_values(self.grid, values), *self.chars[k])
 
 
 def _sweep_density(
-    spec: ReactionSpec,
-    panels: _DensityPanels,
-    times: np.ndarray,
-    curve_vals: Sequence[np.ndarray],
-    c: float,
+    spec: ReactionSpec, panels: _DensityPanels, curve_vals: Sequence[np.ndarray], c: float
 ) -> list[np.ndarray]:
-    ds = float(times[1] - times[0])
-    decay = math.exp(-c * ds)
-    grid = panels.grid
-    g = []
-    for t_j, vals_j in zip(times, curve_vals):
-        u_j = with_values(grid, vals_j)
-        g.append(_density_reaction_values(spec, float(t_j), u_j) + c * vals_j)
-    out = [curve_vals[0]]
-    acc = curve_vals[0]
-    for k in range(len(times) - 1):
-        moved = panels.push(k, acc + 0.5 * ds * g[k])
-        acc = decay * moved + 0.5 * ds * g[k + 1]
-        out.append(acc)
-    return out
+    """``_trapezoid`` on cell values; a reaction with no density action adds zeros."""
+    act, g = spec.density_action, []
+    for t_j, vals_j in zip(panels.times, curve_vals):
+        u_j = with_values(panels.grid, vals_j)
+        r = np.zeros_like(vals_j) if act is None else act(float(t_j), u_j).values
+        g.append(r + c * vals_j)
+    return _trapezoid(panels.times, curve_vals[0], g, c, panels.push, _axpby)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +527,7 @@ def _fixed_point(
                 f"reaction {spec.name!r} has no density action; cannot co-evolve a density"
             )
         panels = _DensityPanels(v, u0, times, h)
-        dens_vals = _transport_density_curve(panels, u0, len(times))
+        dens_vals = _transport_curve(panels, u0.values)
         dens_tol = config.picard_tol * max(1.0, lp_norm(u0))
 
     ratio = 0.0
@@ -561,11 +538,9 @@ def _fixed_point(
         d = _curve_distance(new_curve, curve, config.picard_tol)
         d_dens = 0.0
         if dens_vals is not None:
-            new_dens = _sweep_density(spec, panels, times, dens_vals, c)
-            grid = panels.grid
+            new_dens = _sweep_density(spec, panels, dens_vals, c)
             for a, b in zip(new_dens, dens_vals):
-                diff = with_values(grid, (a - b).reshape(grid.values.shape))
-                d_dens = max(d_dens, lp_norm(diff))
+                d_dens = max(d_dens, lp_norm(with_values(panels.grid, a - b)))
             dens_vals = new_dens
         if prev_d is not None and prev_d > 0.0:
             ratio = max(ratio, d / prev_d)

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import fail_fixed_point_on_call
+from mvt import flat_metric
 from mvt.cli import main, run_simulate
 from mvt.geometry import TORUS
 from mvt.measures import dirac, measure, save_measure
@@ -176,6 +178,34 @@ def test_metric_error_paths(tmp_path, capsys):
     assert main(["metric", str(a), str(tmp_path / "missing.csv")]) == 2
     assert main(["metric", str(a), str(c)]) == 2
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def _non_optimal_fm_norm(mu):
+    return flat_metric.FlatNormResult(
+        float("nan"), np.zeros(mu.num_atoms), flat_metric.STATUS_NUMERICS
+    )
+
+
+def test_metric_flat_norm_failure_exits_3(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    save_measure(dirac([0.0, 0.0], 1.0), str(a))
+    save_measure(dirac([0.5, 0.0], 1.0), str(b))
+    monkeypatch.setattr(flat_metric, "fm_norm", _non_optimal_fm_norm)
+    assert main(["metric", str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mvt metric: flat norm solve failed")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_flat_norm_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(flat_metric, "fm_norm", _non_optimal_fm_norm)
+    assert main(["verify", "--suite", "weaklimit"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mvt verify: flat norm solve failed")
+    assert len(captured.err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_positive, random_signed
+from mvt import flat_metric
 from mvt.flat_metric import fm_norm
 from mvt.geometry import EUCLIDEAN
 from mvt.grids import lp_norm, quantize, uniform_density
@@ -165,6 +166,26 @@ def test_verify_assumptions_catches_understated_lipschitz():
     assert not report.ok
     assert any(kind == "l_f" for kind, *_ in report.violations)
     assert len(report.violations) <= 25  # reporting is capped
+
+
+def test_verify_assumptions_raises_when_lipschitz_lhs_solve_fails(monkeypatch):
+    # In 2D the first LP is the l_f check's left-hand side; a failed solve
+    # returns NaN, which must raise instead of reading as no violation.
+    real_lp = flat_metric._fm_lp
+    calls = []
+
+    def fail_first(mu):
+        calls.append(mu.num_atoms)
+        if len(calls) == 1:
+            return flat_metric.FlatNormResult(
+                float("nan"), np.zeros(mu.num_atoms), flat_metric.STATUS_NUMERICS
+            )
+        return real_lp(mu)
+
+    monkeypatch.setattr(flat_metric, "_fm_lp", fail_first)
+    with pytest.raises(flat_metric.FlatNormError):
+        verify_assumptions(builtin_reaction("linear_rate", [1.5]), 5, 2.0, dim=2)
+    assert len(calls) == 1
 
 
 @settings(max_examples=30, deadline=None)

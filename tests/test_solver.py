@@ -169,6 +169,19 @@ def test_picard_step_linear_rate_one_sweep():
         assert mu.total_mass == pytest.approx((1.0 + c * t) * 2.0, abs=1e-12)
 
 
+def test_sweep_density_linear_rate_one_sweep():
+    # density twin of the test above: v = 0, f = c u, constant input curve
+    c = 0.8
+    spec = builtin_reaction("linear_rate", [c])
+    u = uniform_density([-1.0], [1.0], 16, 0.75, 2.0)
+    times = np.linspace(0.0, 0.5, 17)
+    panels = solver._DensityPanels(zero_field(1), u, times, default_step(0.5))
+    out = solver._sweep_density(spec, panels, [u.values] * len(times), 0.0)
+    assert len(out) == len(times)
+    for t, vals in zip(times, out):
+        np.testing.assert_allclose(vals, (1.0 + c * t) * u.values, rtol=0.0, atol=1e-12)
+
+
 def test_picard_step_dilated_zero_shift_identical():
     spec = builtin_reaction("logistic", [1.0, 2.0])
     v = builtin_field("constant", [0.3], 1)
