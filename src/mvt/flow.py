@@ -10,13 +10,12 @@ each trajectory; its exponential is the Jacobian determinant of the
 flow map, which stays positive because flows of Lipschitz fields are
 orientation preserving.
 
-A field flagged ``identity_flow`` (the zero field) is never evaluated:
-both integrators return what RK4 would, the input points and a zero
-log-Jacobian.
+These integrators are the reference for every field and the only flow
+of a hand-built one; ``transport`` uses a built-in field's exact
+``flow_map`` instead.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -70,18 +69,6 @@ def _steps(t_from: float, t_to: float, step_h: float) -> list[float]:
     return steps
 
 
-def _identity_image(x: np.ndarray, steps: list[float], domain: str) -> np.ndarray:
-    """RK4 image of x under a field with ``identity_flow``, bit for bit.
-
-    Each RK4 step adds (dt/6) * 0, a zero with the sign of dt, so a
-    forward step turns a -0.0 coordinate into 0.0; the torus wraps.
-    """
-    if not steps:
-        return x
-    x = x + math.copysign(0.0, steps[0])
-    return wrap_torus(x) if domain == TORUS else x
-
-
 def advect(
     v: VelocityField,
     t_from: float,
@@ -95,11 +82,8 @@ def advect(
     x = np.array(points, dtype=float)
     if x.size == 0:
         return x
-    steps = _steps(t_from, t_to, step_h)
-    if v.identity_flow:
-        return _identity_image(x, steps, domain)
     t = t_from
-    for dt in steps:
+    for dt in _steps(t_from, t_to, step_h):
         k1 = _eval_field(v, t, x, domain)
         k2 = _eval_field(v, t + 0.5 * dt, x + 0.5 * dt * k1, domain)
         k3 = _eval_field(v, t + 0.5 * dt, x + 0.5 * dt * k2, domain)
@@ -130,11 +114,8 @@ def advect_with_logjac(
     logjac = np.zeros(x.shape[0])
     if x.size == 0:
         return x, logjac
-    steps = _steps(t_from, t_to, step_h)
-    if v.identity_flow:
-        return _identity_image(x, steps, domain), logjac
     t = t_from
-    for dt in steps:
+    for dt in _steps(t_from, t_to, step_h):
         k1 = _eval_field(v, t, x, domain)
         j1 = divergence_of(v, t, x, domain)
         x2 = x + 0.5 * dt * k1

@@ -35,7 +35,8 @@ Config schema (unknown sections or keys are errors):
     quad_nodes = 33
     picard_tol = 1e-8
     picard_max_iter = 80
-    flow_step_h =
+    flow_step_h =               ; RK4 step of hand-built fields only;
+                                ;   every field named here flows exactly
     tv_blowup_threshold =
     dilation_mode = none        ; none | auto | fixed
     dilation_c = 0.0

@@ -26,9 +26,9 @@ uniform nodes, as one incremental recurrence (``_trapezoid``) that
 sweeps particle measures, density cell values and weight arrays
 alike; iterates live on that grid as particle measures; flows
 advance node to node, so atoms produced at different nodes stay aligned
-across sweeps and coalesce exactly.  The flow map depends on atom
-positions only, so a panel that receives the same support again in a
-later sweep reuses its advected positions instead of re-running RK4.
+across sweeps and coalesce exactly.  The flow map (exact for built-in
+fields, RK4 otherwise) depends on atom positions only, so a panel that
+receives the same support again reuses its pushed positions.
 A reaction with no production only rescales weights, so every iterate
 sits at node k on the transport curve's support: on separated supports
 in canonical order, sweeps and Picard distances run as arithmetic on
@@ -38,7 +38,7 @@ which takes over for the rest of an interval when a weight is pruned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -472,7 +472,9 @@ class _DensityPanels:
     """Cached backward characteristics per quadrature panel.
 
     Feet and Jacobian factors depend only on the panel and the grid, not
-    on the iterate, so each panel is integrated once per interval.
+    on the iterate, so each panel is integrated once per interval.  Sweeps
+    put cell values on the validated grid with ``replace``, unchecked;
+    ``_fixed_point`` validates the node densities it returns.
     """
 
     def __init__(self, v: VelocityField, grid: GridDensity, times: np.ndarray, h: float):
@@ -484,7 +486,7 @@ class _DensityPanels:
         ]
 
     def push(self, k: int, values: np.ndarray) -> np.ndarray:
-        return transported_values(with_values(self.grid, values), *self.chars[k])
+        return transported_values(replace(self.grid, values=values), *self.chars[k])
 
 
 def _sweep_density(
@@ -493,7 +495,7 @@ def _sweep_density(
     """``_trapezoid`` on cell values; a reaction with no density action adds zeros."""
     act, g = spec.density_action, []
     for t_j, vals_j in zip(panels.times, curve_vals):
-        u_j = with_values(panels.grid, vals_j)
+        u_j = replace(panels.grid, values=vals_j)
         r = np.zeros_like(vals_j) if act is None else act(float(t_j), u_j).values
         g.append(r + c * vals_j)
     return _trapezoid(panels.times, curve_vals[0], g, c, panels.push, _axpby)
@@ -540,7 +542,7 @@ def _fixed_point(
         if dens_vals is not None:
             new_dens = _sweep_density(spec, panels, dens_vals, c)
             for a, b in zip(new_dens, dens_vals):
-                d_dens = max(d_dens, lp_norm(with_values(panels.grid, a - b)))
+                d_dens = max(d_dens, lp_norm(replace(panels.grid, values=a - b)))
             dens_vals = new_dens
         if prev_d is not None and prev_d > 0.0:
             ratio = max(ratio, d / prev_d)

@@ -13,9 +13,13 @@ parameter conventions.  Fields whose exact form is unbounded, such as
 ``linear``, ship with a working radius: the certified sup bound holds
 on the ball of that radius, which the caller must choose to contain
 the dynamics.
+
+Every built-in also carries its exact flow map with the log-Jacobian,
+which ``transport`` uses in place of RK4; fields built by hand have none.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,10 +36,8 @@ _DEFAULT_RADIUS = 10.0
 class VelocityField:
     """Velocity field t, (n, d) points -> (n, d) velocities, with bounds.
 
-    ``identity_flow`` certifies that the field vanishes everywhere at
-    all times, so its flow map is the identity; ``flow.advect`` and
-    ``flow.advect_with_logjac`` then return the RK4 result without
-    evaluating the field.  Only ``zero_field`` sets it.
+    ``flow_map(s, t, x)``, when set, is the exact flow from s to t and
+    its log-Jacobian at each point, unwrapped on the torus.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
@@ -47,7 +49,7 @@ class VelocityField:
     div_pos_rate: Callable[[float], float] | None = None
     torus_compatible: bool = False
     name: str = ""
-    identity_flow: bool = False
+    flow_map: Callable[[float, float, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __call__(self, t: float, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval(float(t), np.asarray(points, dtype=float)), dtype=float)
@@ -56,6 +58,11 @@ class VelocityField:
         """Bound on ||v_tau||_inf over tau in [s, t] (dense max of sup_rate)."""
         grid = np.linspace(min(s, t), max(s, t), samples)
         return float(max(self.sup_rate(float(tau)) for tau in grid))
+
+
+def _translation(shift: Callable[[float, float], np.ndarray | float]):
+    """Flow map x -> x + shift(s, t) of a spatially constant field."""
+    return lambda s, t, x: (x + shift(s, t), np.zeros(x.shape[0]))
 
 
 def zero_field(dim: int) -> VelocityField:
@@ -70,7 +77,8 @@ def zero_field(dim: int) -> VelocityField:
         div_pos_rate=lambda t: 0.0,
         torus_compatible=True,
         name="zero",
-        identity_flow=True,
+        # RK4's image bit for bit: each step adds a zero with the sign of dt.
+        flow_map=_translation(lambda s, t: math.copysign(0.0, t - s)),
     )
 
 
@@ -110,6 +118,7 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
             div_pos_rate=lambda t: 0.0,
             torus_compatible=True,
             name="constant",
+            flow_map=_translation(lambda s, t: c * (t - s)),
         )
     if name == "linear":
         if len(params) not in (1, 2):
@@ -127,6 +136,8 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
             div_pos_rate=lambda t: max(0.0, div_val),
             torus_compatible=False,
             name="linear",
+            flow_map=lambda s, t, x: (
+                x * math.exp(a * (t - s)), np.full(x.shape[0], div_val * (t - s))),
         )
     if name == "rotation2d":
         if dim != 2:
@@ -141,6 +152,10 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
             rel = x - center
             return omega * np.stack([-rel[:, 1], rel[:, 0]], axis=1)
 
+        def _flow(s: float, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            cos, sin = math.cos(omega * (t - s)), math.sin(omega * (t - s))
+            return center + (x - center) @ np.array([[cos, sin], [-sin, cos]]), np.zeros(x.shape[0])
+
         return VelocityField(
             eval=_eval,
             sup_rate=lambda t: abs(omega) * radius,
@@ -151,6 +166,7 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
             div_pos_rate=lambda t: 0.0,
             torus_compatible=False,
             name="rotation2d",
+            flow_map=_flow,
         )
     if name == "shear":
         if dim != 2:
@@ -175,6 +191,8 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
             div_pos_rate=lambda t: 0.0,
             torus_compatible=False,
             name="shear",
+            # v is constant along its own paths: x moves by v(x) (t - s).
+            flow_map=lambda s, t, x: (x + _eval(t, x) * (t - s), np.zeros(x.shape[0])),
         )
     if name == "time_oscillating":
         if len(params) != 2 + dim:
@@ -191,7 +209,8 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
 
         return VelocityField(
             eval=_eval,
-            sup_rate=lambda t: abs(amp * np.sin(2.0 * np.pi * t / period)) * u_norm,
+            # The envelope: a dense max of |sin| can miss its peak.
+            sup_rate=lambda t: abs(amp) * u_norm,
             lip_rate=lambda t: 0.0,
             dim=dim,
             divergence=lambda t, x: np.zeros(x.shape[0]),
@@ -199,5 +218,7 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
             div_pos_rate=lambda t: 0.0,
             torus_compatible=True,
             name="time_oscillating",
+            flow_map=_translation(lambda s, t: u * (amp * period / (2.0 * np.pi) * (
+                math.cos(2.0 * math.pi * s / period) - math.cos(2.0 * math.pi * t / period)))),
         )
     raise ValueError(f"unknown field name {name!r}; expected one of {FIELD_NAMES}")

@@ -15,8 +15,11 @@ from mvt.flow import (
     lipschitz_bound,
     simpson_integral,
 )
-from mvt.geometry import EUCLIDEAN, TORUS
-from mvt.velocity import VelocityField, builtin_field, zero_field
+from mvt.geometry import EUCLIDEAN, TORUS, distance, wrap_torus
+from mvt.grids import uniform_density
+from mvt.measures import DiscreteSignedMeasure, measure
+from mvt.transport import backward_characteristics, pushforward_measure
+from mvt.velocity import FIELD_NAMES, VelocityField, builtin_field, zero_field
 
 
 def _rk4_error_linear(h: float) -> float:
@@ -82,22 +85,29 @@ def _counted(v):
 @pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_zero_field_flow_is_identity_without_evaluating(dim, domain):
+    # The zero field's map is bitwise RK4's image under a constant field of
+    # speed 0: -0.0 becomes 0.0 on a forward step and stays -0.0 backward.
     rng = np.random.default_rng(dim)
     x0 = rng.uniform(0.0, 1.0, size=(5, dim))
+    x0[0, :] = -0.0
+    x0[1, -1] = -0.0
     zero, zero_calls = _counted(zero_field(dim))
-    for t_to in (1.0, -0.35, 0.0):
-        moved = advect(zero, 0.0, t_to, x0, 0.1, domain)
-        moved_lj, logjac = advect_with_logjac(zero, 0.0, t_to, x0, 0.1, domain)
-        for out in (moved, moved_lj):
-            assert out.tobytes() == x0.tobytes()
-            assert not np.shares_memory(out, x0)
-        assert logjac.tobytes() == np.zeros(5).tobytes()
-    assert zero_calls == []
-    # A constant field of speed 0 is not flagged: it still runs RK4.
     const, const_calls = _counted(builtin_field("constant", [0.0] * dim, dim))
-    assert not const.identity_flow
-    np.testing.assert_array_equal(advect(const, 0.0, 1.0, x0, 0.1, domain), x0)
-    assert len(const_calls) == 40
+    mu = DiscreteSignedMeasure(x0, np.ones(5), domain)
+    grid = uniform_density([0.0] * dim, [1.0] * dim, 4, 1.0, 2.0, domain)
+    for t_to in (1.0, -0.35):
+        want, want_lj = advect_with_logjac(const, 0.0, t_to, x0, 0.1, domain)
+        image, logjac = zero.flow_map(0.0, t_to, x0)
+        image = wrap_torus(image) if domain == TORUS else image
+        assert image.tobytes() == want.tobytes()
+        assert logjac.tobytes() == want_lj.tobytes() == np.zeros(5).tobytes()
+        moved = pushforward_measure(zero, 0.0, t_to, mu).points
+        assert moved.tobytes() == advect(const, 0.0, t_to, x0, 0.1, domain).tobytes()
+        feet, jac = backward_characteristics(zero, t_to, 0.0, grid)
+        want_feet = advect(const, 0.0, t_to, grid.center_points(), 0.1, domain)
+        assert feet.tobytes() == want_feet.tobytes()
+        assert np.all(jac == 1.0)
+    assert zero_calls == [] and len(const_calls) > 0
 
 
 @pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
@@ -112,6 +122,80 @@ def test_zero_field_shortcut_matches_rk4_bitwise(domain):
         assert advect(zero_field(2), 0.0, t_to, x0, 0.1, domain).tobytes() == want.tobytes()
         assert got_lj[0].tobytes() == want_lj[0].tobytes()
         assert got_lj[1].tobytes() == want_lj[1].tobytes()
+
+
+_BUILTINS = [
+    ("zero", [], 1),
+    ("constant", [0.3, -0.7], 2),
+    ("constant", [0.4, -0.2, 0.9], 3),
+    ("linear", [0.6], 2),
+    ("linear", [-0.5], 3),
+    ("rotation2d", [1.3, 0.2, -0.1], 2),
+    ("shear", [0.5], 2),
+    ("time_oscillating", [0.8, 0.5, 1.0, -0.3], 2),
+    ("time_oscillating", [1.1, 0.3, 0.7], 1),
+]
+_ON_DOMAINS = [(*case, domain) for case in _BUILTINS for domain in (EUCLIDEAN, TORUS)
+               if domain == EUCLIDEAN or builtin_field(*case).torus_compatible]
+
+
+def test_every_builtin_has_a_flow_map():
+    assert {case[0] for case in _BUILTINS} == set(FIELD_NAMES)
+    assert all(builtin_field(*case).flow_map is not None for case in _BUILTINS)
+
+
+@pytest.mark.parametrize("s, t", [(0.1, 0.8), (0.8, -0.1)])
+@pytest.mark.parametrize("name, params, dim, domain", _ON_DOMAINS)
+def test_flow_map_matches_rk4(name, params, dim, domain, s, t):
+    # Forward and backward, with the log-Jacobian (d*a*(t - s) for linear).
+    v = builtin_field(name, params, dim)
+    x0 = np.random.default_rng(dim).uniform(0.0, 1.0, size=(6, dim))
+    want, want_lj = advect_with_logjac(v, s, t, x0, 1e-3, domain)
+    image, logjac = v.flow_map(s, t, x0)
+    image = wrap_torus(image) if domain == TORUS else image
+    assert float(np.max(distance(image, want, domain))) <= 1e-10
+    np.testing.assert_allclose(logjac, want_lj, rtol=0.0, atol=1e-10)
+    mu = measure(x0, np.ones(6), domain)
+    moved = pushforward_measure(v, s, t, mu).points
+    want = advect(v, s, t, mu.points, 1e-3, domain)
+    assert float(np.max(distance(moved, want, domain))) <= 1e-10
+    grid = uniform_density([0.0] * dim, [1.0] * dim, 3, 1.0, 2.0, domain)
+    feet, jac = backward_characteristics(v, s, t, grid)
+    want_feet, want_lj = advect_with_logjac(v, t, s, grid.center_points(), 1e-3, domain)
+    assert float(np.max(distance(feet, want_feet, domain))) <= 1e-10
+    np.testing.assert_allclose(jac, np.exp(want_lj), rtol=1e-10)
+
+
+def test_linear_logjac_equals_rk4():
+    v = builtin_field("linear", [0.8], 2)
+    x0 = np.array([[0.3, -1.0], [2.0, 0.5]])
+    for s, t in ((0.0, 1.0), (1.0, 0.0), (0.2, 0.45)):
+        _, want = advect_with_logjac(v, s, t, x0, 1e-3)
+        _, logjac = v.flow_map(s, t, x0)
+        np.testing.assert_allclose(logjac, want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(logjac, 1.6 * (t - s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, params, dim", _BUILTINS)
+def test_flow_map_inverts_backward(name, params, dim):
+    v = builtin_field(name, params, dim)
+    x0 = np.random.default_rng(7).uniform(-2.0, 2.0, size=(8, dim))
+    there, logjac = v.flow_map(0.25, 1.9, x0)
+    back, logjac_back = v.flow_map(1.9, 0.25, there)
+    np.testing.assert_allclose(back, x0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(logjac + logjac_back, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name, params, dim", _BUILTINS)
+def test_transport_never_evaluates_builtin_fields(name, params, dim):
+    v, calls = _counted(builtin_field(name, params, dim))
+    domain = TORUS if v.torus_compatible else EUCLIDEAN
+    mu = measure(np.random.default_rng(3).uniform(0.0, 1.0, size=(6, dim)), np.ones(6), domain)
+    grid = uniform_density([0.0] * dim, [1.0] * dim, 5, 1.0, 2.0, domain)
+    for s, t in ((0.0, 0.7), (0.7, 0.0)):
+        pushforward_measure(v, s, t, mu)
+        backward_characteristics(v, s, t, grid)
+    assert calls == []
 
 
 def test_torus_wrapping():
@@ -191,6 +275,14 @@ def test_displacement_bound_is_speed_sup():
         moved = advect(v, 0.0, t, x0, 0.01)
         disp = float(np.max(np.abs(moved - x0)))
         assert disp <= flow_displacement_bound(v, 0.0, t) * t * 1.001
+
+
+def test_oscillating_sup_bound_holds_between_samples():
+    # |sin| peaks at t = 0.03075, between the 1025 samples of [0, 1].
+    v = builtin_field("time_oscillating", [1.0, 0.123, 1.0], 1)
+    assert abs(v(0.03075, np.zeros((1, 1)))[0, 0]) == pytest.approx(1.0)
+    assert v.sup_bound(0.0, 1.0) >= 1.0
+    assert flow_displacement_bound(v, 0.0, 1.0) >= 1.0
 
 
 def test_simpson_exact_for_cubics():
