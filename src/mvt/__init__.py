@@ -100,7 +100,6 @@ _EXPORTS = {
     "Trajectory": "solver",
     "choose_step": "solver",
     "picard_step": "solver",
-    "picard_step_dilated": "solver",
     "solve_interval": "solver",
     "solve_maximal": "solver",
     "sample_trajectory": "solver",

@@ -182,6 +182,8 @@ def builtin_reaction(
     L^p norm via Hoelder on a finite-volume domain.
     """
     params = [float(p) for p in params]
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"{name} reaction parameters must be finite")
     if name == "zero":
         if params:
             raise ValueError("zero reaction takes no parameters")

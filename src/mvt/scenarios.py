@@ -35,8 +35,6 @@ Config schema (unknown sections or keys are errors):
     quad_nodes = 33
     picard_tol = 1e-8
     picard_max_iter = 80
-    flow_step_h =               ; RK4 step of hand-built fields only;
-                                ;   every field named here flows exactly
     tv_blowup_threshold =
     dilation_mode = none        ; none | auto | fixed
     dilation_c = 0.0
@@ -88,6 +86,9 @@ class Scenario:
     density: GridDensity | None = None
 
     def __post_init__(self) -> None:
+        for key in ("t0", "horizon"):
+            if not np.isfinite(getattr(self, key)):
+                raise ScenarioError(f"{key} must be finite")
         if not self.horizon > self.t0:
             raise ScenarioError("horizon must exceed t0")
         if self.dim not in (1, 2, 3):

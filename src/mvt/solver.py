@@ -26,9 +26,7 @@ uniform nodes, as one incremental recurrence (``_trapezoid``) that
 sweeps particle measures, density cell values and weight arrays
 alike; iterates live on that grid as particle measures; flows
 advance node to node, so atoms produced at different nodes stay aligned
-across sweeps and coalesce exactly.  The flow map (exact for built-in
-fields, RK4 otherwise) depends on atom positions only, so a panel that
-receives the same support again reuses its pushed positions.
+across sweeps and coalesce exactly.
 A reaction with no production only rescales weights, so every iterate
 sits at node k on the transport curve's support: on separated supports
 in canonical order, sweeps and Picard distances run as arithmetic on
@@ -98,29 +96,26 @@ class SolverConfig:
     quad_nodes: int = 33
     picard_tol: float = 1e-8
     picard_max_iter: int = 80
-    flow_step_h: float | None = None
     tv_blowup_threshold: float | None = None
     dilation_mode: str = "none"
     dilation_c: float = 0.0
     max_interval_tau: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.quad_nodes < 2:
             raise ValueError("quad_nodes must be at least 2")
-        if not self.picard_tol >= 1e-12:
-            raise ValueError("picard_tol must be at least 1e-12")
+        if not 1e-12 <= self.picard_tol < math.inf:
+            raise ValueError("picard_tol must be finite and at least 1e-12")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
-        if self.flow_step_h is not None and not self.flow_step_h > 0:
-            raise ValueError("flow_step_h must be positive")
         if self.tv_blowup_threshold is not None and not self.tv_blowup_threshold > 0:
             raise ValueError("tv_blowup_threshold must be positive")
         if self.dilation_mode not in DILATION_MODES:
             raise ValueError(f"dilation_mode must be one of {DILATION_MODES}")
-        if self.dilation_c < 0:
-            raise ValueError("dilation_c must be nonnegative")
+        if not 0 <= self.dilation_c < math.inf:
+            raise ValueError("dilation_c must be nonnegative and finite")
         if self.max_interval_tau is not None and not self.max_interval_tau > 0:
             raise ValueError("max_interval_tau must be positive")
 
@@ -237,38 +232,16 @@ def _dilation_parts(lf: float, c: float, l_v: float, tau: float, limit: float) -
 # Picard sweeps on a quadrature grid.
 # ---------------------------------------------------------------------------
 
-class _AtomPanels:
-    """Advected atom positions per quadrature panel, reused across sweeps.
-
-    The particle twin of ``_DensityPanels``.  The flow map is a pure
-    function of the positions, so when panel k sees the same support as
-    last time the cached image points carry the new weights; the result
-    is bitwise what a fresh push-forward would give.
-    """
-
-    def __init__(self, v: VelocityField, times: np.ndarray, h: float):
-        self.v = v
-        self.times = times
-        self.h = h
-        # Per panel: (input points, advected points) of the last miss.
-        self._last: list[tuple[np.ndarray, np.ndarray] | None] = [None] * (len(times) - 1)
-
-    def push(self, k: int, mu: DiscreteSignedMeasure) -> DiscreteSignedMeasure:
-        last = self._last[k]
-        if last is not None and np.array_equal(last[0], mu.points):
-            return DiscreteSignedMeasure(last[1], mu.weights, mu.domain)
-        moved = pushforward_measure(
-            self.v, float(self.times[k]), float(self.times[k + 1]), mu, self.h
-        )
-        self._last[k] = (mu.points, moved.points)
-        return moved
+def _panel_push(v: VelocityField, times: np.ndarray, h: float):
+    """P_{t_k, t_{k+1}} on measures, as ``push(k, mu)``."""
+    return lambda k, mu: pushforward_measure(v, float(times[k]), float(times[k + 1]), mu, h)
 
 
-def _transport_curve(panels: _AtomPanels | _DensityPanels, start):
+def _transport_curve(times: np.ndarray, push, start):
     """``start`` pushed panel by panel: the iterate of zero reaction and shift."""
     out = [start]
-    for k in range(len(panels.times) - 1):
-        out.append(panels.push(k, out[-1]))
+    for k in range(len(times) - 1):
+        out.append(push(k, out[-1]))
     return out
 
 
@@ -371,7 +344,8 @@ def _sweep_weights(
 
 def _sweep_measures(
     spec: ReactionSpec,
-    panels: _AtomPanels,
+    times: np.ndarray,
+    push,
     curve: _NodeWeights | Sequence[DiscreteSignedMeasure],
     c: float,
 ) -> _NodeWeights | list[DiscreteSignedMeasure]:
@@ -382,17 +356,17 @@ def _sweep_measures(
     perfbench's tracer counts sweeps through this one function.
     """
     if isinstance(curve, _NodeWeights):
-        swept = _sweep_weights(spec, panels.times, curve, c)
+        swept = _sweep_weights(spec, times, curve, c)
         if swept is not None:
             return swept
         curve = list(curve)
     g = []
-    for t_j, mu_j in zip(panels.times, curve):
+    for t_j, mu_j in zip(times, curve):
         r = eval_reaction(spec, float(t_j), mu_j)
         if c != 0.0:
             r = linear_combine(1.0, r, c, mu_j)
         g.append(r)
-    return _trapezoid(panels.times, curve[0], g, c, panels.push, linear_combine)
+    return _trapezoid(times, curve[0], g, c, push, linear_combine)
 
 
 def picard_step(
@@ -402,32 +376,18 @@ def picard_step(
     tau: float,
     curve: Sequence[DiscreteSignedMeasure],
     *,
-    step_h: float | None = None,
+    c: float = 0.0,
 ) -> list[DiscreteSignedMeasure]:
-    """Apply the Picard operator to a curve sampled on uniform nodes."""
-    return picard_step_dilated(spec, v, 0.0, t0, tau, curve, step_h=step_h)
-
-
-def picard_step_dilated(
-    spec: ReactionSpec,
-    v: VelocityField,
-    c: float,
-    t0: float,
-    tau: float,
-    curve: Sequence[DiscreteSignedMeasure],
-    *,
-    step_h: float | None = None,
-) -> list[DiscreteSignedMeasure]:
-    """Dilated Picard operator; c = 0 reduces to the plain one."""
-    if c < 0:
-        raise ValueError("dilation shift must be nonnegative")
+    """Apply the Picard operator, dilated by the shift c, to a curve sampled
+    on uniform nodes; c = 0 is the plain operator."""
+    if not 0.0 <= c < math.inf:
+        raise ValueError("dilation shift must be nonnegative and finite")
     if len(curve) < 2:
         raise ValueError("curve needs at least two nodes")
     if tau <= 0:
         raise ValueError("tau must be positive")
     times = np.linspace(t0, t0 + tau, len(curve))
-    h = step_h if step_h is not None else default_step(tau)
-    return _sweep_measures(spec, _AtomPanels(v, times, h), curve, c)
+    return _sweep_measures(spec, times, _panel_push(v, times, default_step(tau)), curve, c)
 
 
 def _fm_of(diff: DiscreteSignedMeasure) -> float:
@@ -516,9 +476,9 @@ def _fixed_point(
     u0: GridDensity | None,
 ) -> Trajectory:
     times = np.linspace(t0, t0 + tau, config.quad_nodes)
-    h = config.flow_step_h if config.flow_step_h is not None else default_step(tau)
-    atom_panels = _AtomPanels(v, times, h)
-    curve = _transport_curve(atom_panels, nu)
+    h = default_step(tau)
+    push = _panel_push(v, times, h)
+    curve = _transport_curve(times, push, nu)
     curve = _fixed_supports(spec, curve, c) or curve
     panels = None
     dens_vals: list[np.ndarray] | None = None
@@ -529,14 +489,14 @@ def _fixed_point(
                 f"reaction {spec.name!r} has no density action; cannot co-evolve a density"
             )
         panels = _DensityPanels(v, u0, times, h)
-        dens_vals = _transport_curve(panels, u0.values)
+        dens_vals = _transport_curve(times, panels.push, u0.values)
         dens_tol = config.picard_tol * max(1.0, lp_norm(u0))
 
     ratio = 0.0
     prev_d: float | None = None
     iters = 0
     for _ in range(config.picard_max_iter):
-        new_curve = _sweep_measures(spec, atom_panels, curve, c)
+        new_curve = _sweep_measures(spec, times, push, curve, c)
         d = _curve_distance(new_curve, curve, config.picard_tol)
         d_dens = 0.0
         if dens_vals is not None:
@@ -770,8 +730,6 @@ def sample_trajectory(
     times: np.ndarray,
     measures: Sequence[DiscreteSignedMeasure],
     t: float,
-    *,
-    step_h: float | None = None,
 ) -> DiscreteSignedMeasure:
     """Interpolate a stored curve at an off-grid time.
 
@@ -785,7 +743,7 @@ def sample_trajectory(
     j = min(j, len(times) - 2)
     t_lo, t_hi = float(times[j]), float(times[j + 1])
     theta = (t - t_lo) / (t_hi - t_lo)
-    h = step_h if step_h is not None else default_step(t_hi - t_lo)
+    h = default_step(t_hi - t_lo)
     fwd = pushforward_measure(v, t_lo, t, measures[j], h)
     bwd = pushforward_measure(v, t_hi, t, measures[j + 1], h)
     return linear_combine(1.0 - theta, fwd, theta, bwd)

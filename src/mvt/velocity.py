@@ -99,6 +99,8 @@ def builtin_field(name: str, params: list[float], dim: int) -> VelocityField:
     """
     validate_dim(dim)
     params = [float(p) for p in params]
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"{name} field parameters must be finite")
     if name == "zero":
         if params:
             raise ValueError("zero field takes no parameters")

@@ -223,10 +223,7 @@ def test_criterion_09_contraction_and_residual():
                 qn = sc.solver.quad_nodes
                 curve = list(traj.measures[:qn])
                 tau1 = float(traj.times[qn - 1] - traj.times[0])
-                again = picard_step(
-                    sc.reaction, sc.velocity, sc.t0, tau1, curve,
-                    step_h=sc.solver.flow_step_h,
-                )
+                again = picard_step(sc.reaction, sc.velocity, sc.t0, tau1, curve)
                 residual = max(
                     fm_distance(a, b) for a, b in zip(again, curve)
                 )

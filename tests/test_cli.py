@@ -92,6 +92,19 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "unknown config section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    (BASIC + "\n[solver]\ndelta = inf\n", "delta"),
+    (BASIC + "\n[solver]\npicard_tol = inf\n", "picard_tol"),
+    (BASIC + "\n[solver]\ndilation_mode = fixed\ndilation_c = nan\n", "dilation_c"),
+    (BASIC + "\n[solver]\ndilation_mode = fixed\ndilation_c = inf\n", "dilation_c"),
+    (BASIC.replace("horizon = 0.2", "horizon = inf"), "horizon"),
+], ids=["delta", "picard_tol", "dilation_c_nan", "dilation_c_inf", "horizon"])
+def test_simulate_rejects_nonfinite_values(tmp_path, capsys, text, key):
+    cfg = _write(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_simulate_missing_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "mvt simulate:" in capsys.readouterr().err

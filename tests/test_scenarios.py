@@ -145,7 +145,6 @@ def test_parse_every_solver_key(tmp_path):
         quad_nodes=17,
         picard_tol=1e-9,
         picard_max_iter=12,
-        flow_step_h=0.01,
         tv_blowup_threshold=50.0,
         dilation_mode="fixed",
         dilation_c=0.5,
@@ -153,7 +152,7 @@ def test_parse_every_solver_key(tmp_path):
     )
     default = SolverConfig()
     keys = [f.name for f in fields(SolverConfig)]
-    assert len(keys) == 9
+    assert len(keys) == 8
     assert all(getattr(want, key) != getattr(default, key) for key in keys)
     lines = [f"{key} = {getattr(want, key)}" for key in keys]
     text = MINIMAL + "\n[solver]\n" + "\n".join(lines) + "\n"
@@ -161,6 +160,22 @@ def test_parse_every_solver_key(tmp_path):
     assert scenario.solver == want
     assert type(scenario.solver.quad_nodes) is int
     assert type(scenario.solver.picard_max_iter) is int
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("params = 0.3", "params = nan", "constant field"),
+    ("params = 0.3", "params = inf", "constant field"),
+    ("params = 1.0, 2.0", "params = nan, 2.0", "logistic reaction"),
+    ("t0 = 0.0", "t0 = -inf", "t0"),
+])
+def test_parse_rejects_nonfinite_values(tmp_path, old, new, key):
+    """A non-finite parameter is a config error that names its key.
+
+    ``test_cli`` covers the solver keys and the horizon end to end."""
+    text = (CONFIG_DIR / "logistic_drift.ini").read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(_write(tmp_path, text.replace(old, new)))
 
 
 def test_parse_seed_key_controls_random_cloud(tmp_path):

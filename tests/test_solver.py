@@ -1,4 +1,6 @@
 """Picard fixed point, dilation, chaining, and blow-up detection."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import fail_fixed_point_on_call
 from mvt import solver
 from mvt.flat_metric import fm_distance, fm_norm
-from mvt.flow import default_step
+from mvt.flow import advect, default_step
 from mvt.geometry import TORUS
 from mvt.grids import lp_norm, quantize, uniform_density
 from mvt.measures import (
@@ -18,7 +20,7 @@ from mvt.measures import (
     negative_part_tv,
     tv_norm,
 )
-from mvt.reactions import builtin_reaction
+from mvt.reactions import builtin_reaction, eval_reaction
 from mvt.solver import (
     NonContractionError,
     SolverConfig,
@@ -26,7 +28,6 @@ from mvt.solver import (
     Trajectory,
     choose_step,
     picard_step,
-    picard_step_dilated,
     sample_trajectory,
     solve_interval,
     solve_maximal,
@@ -183,14 +184,25 @@ def test_sweep_density_linear_rate_one_sweep():
 
 
 def test_picard_step_dilated_zero_shift_identical():
+    # c = 0 is the plain operator, bit for bit:
+    # out_{k+1} = P[out_k + (ds/2) f_k] + (ds/2) f_{k+1}
     spec = builtin_reaction("logistic", [1.0, 2.0])
     v = builtin_field("constant", [0.3], 1)
     nu = measure([[0.0], [0.5]], [1.0, 0.5])
     curve = _constant_curve(nu, 9)
-    plain = picard_step(spec, v, 0.0, 0.25, curve)
-    dilated = picard_step_dilated(spec, v, 0.0, 0.0, 0.25, curve)
+    times = np.linspace(0.0, 0.25, 9)
+    ds = float(times[1] - times[0])
+    f = [eval_reaction(spec, float(t), mu) for t, mu in zip(times, curve)]
+    plain = [nu]
+    for k in range(len(times) - 1):
+        half = linear_combine(1.0, plain[-1], 0.5 * ds, f[k])
+        moved = pushforward_measure(v, float(times[k]), float(times[k + 1]), half)
+        plain.append(linear_combine(1.0, moved, 0.5 * ds, f[k + 1]))
+    dilated = picard_step(spec, v, 0.0, 0.25, curve, c=0.0)
+    assert len(dilated) == len(plain)
     for a, b in zip(plain, dilated):
-        assert fm_distance(a, b) <= 1e-14
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_picard_step_dilated_death_exact_cancellation():
@@ -199,7 +211,7 @@ def test_picard_step_dilated_death_exact_cancellation():
     spec = builtin_reaction("death_rate", [1.0])
     v = builtin_field("constant", [0.5], 1)
     nu = measure([[0.0], [1.0]], [1.0, 0.5])
-    out = picard_step_dilated(spec, v, 1.0, 0.0, 0.5, _constant_curve(nu, 9))
+    out = picard_step(spec, v, 0.0, 0.5, _constant_curve(nu, 9), c=1.0)
     times = np.linspace(0.0, 0.5, 9)
     for t, mu in zip(times, out):
         assert mu.is_positive()
@@ -212,7 +224,7 @@ def test_picard_step_dilated_constant_solution_quadrature_error():
     nu = dirac(0.0, 1.0)
 
     def sup_err(nodes: int) -> float:
-        out = picard_step_dilated(ZERO, zero_field(1), 1.0, 0.0, 0.5, _constant_curve(nu, nodes))
+        out = picard_step(ZERO, zero_field(1), 0.0, 0.5, _constant_curve(nu, nodes), c=1.0)
         return max(abs(mu.total_mass - 1.0) for mu in out)
 
     coarse, fine = sup_err(17), sup_err(33)
@@ -226,7 +238,7 @@ def test_picard_step_rejects_bad_curve():
     with pytest.raises(ValueError):
         picard_step(ZERO, zero_field(1), 0.0, -0.5, _constant_curve(dirac(0.0), 5))
     with pytest.raises(ValueError):
-        picard_step_dilated(ZERO, zero_field(1), -1.0, 0.0, 0.5, _constant_curve(dirac(0.0), 5))
+        picard_step(ZERO, zero_field(1), 0.0, 0.5, _constant_curve(dirac(0.0), 5), c=-1.0)
 
 
 # --- solve_interval ---------------------------------------------------------
@@ -272,7 +284,7 @@ def test_interval_fixed_point_residual():
     config = SolverConfig(quad_nodes=33)
     tau = choose_step(spec, tv_norm(nu), config.delta, velocity=v)
     traj = solve_interval(spec, v, 0.0, tau, nu, config)
-    again = picard_step(spec, v, 0.0, tau, list(traj.measures), step_h=config.flow_step_h)
+    again = picard_step(spec, v, 0.0, tau, list(traj.measures))
     worst = max(fm_distance(a, b) for a, b in zip(again, traj.measures))
     assert worst <= 2.0 * config.picard_tol
 
@@ -352,11 +364,11 @@ def test_auto_dilation_skips_signed_data():
     assert _dilation_shift(spec, zero_field(1), 0.0, 0.1, signed, config) == (0.0, 1)
 
 
-# --- push-forward reuse across sweeps ---------------------------------------
+# --- push-forwards per sweep ------------------------------------------------
 
 def test_rate_reaction_advects_each_panel_once(monkeypatch):
-    # a rate reaction never moves atoms, so every sweep sees the support
-    # of the transport curve and reuses its advected positions
+    # a rate reaction never moves atoms, so every sweep runs on the weight
+    # array over the transport curve's supports and pushes nothing
     calls = []
 
     def counted(*args, **kwargs):
@@ -373,8 +385,9 @@ def test_rate_reaction_advects_each_panel_once(monkeypatch):
 
 
 def test_interval_matches_public_picard_iteration_bitwise():
-    # production adds atoms between sweeps, so panels miss their cache;
-    # the interval solver must still equal plain Picard iteration
+    # production adds atoms between sweeps, so every sweep runs on
+    # measures and pushes each panel; the interval solver must still
+    # equal plain Picard iteration
     spec = builtin_reaction("dirac_source", [0.5, 0.7])
     v = builtin_field("time_oscillating", [1.0, 0.5, 1.0], 1)
     nu = measure([[0.25], [0.9]], [1.0, 0.5], TORUS)
@@ -387,12 +400,36 @@ def test_interval_matches_public_picard_iteration_bitwise():
     for k in range(len(times) - 1):
         curve.append(pushforward_measure(v, times[k], times[k + 1], curve[-1], h))
     for _ in range(int(traj.picard_iters.max())):
-        curve = picard_step_dilated(spec, v, 0.0, 0.0, tau, curve)
+        curve = picard_step(spec, v, 0.0, tau, curve)
     assert curve[-1].num_atoms > nu.num_atoms
     assert len(curve) == len(traj.measures)
     for a, b in zip(curve, traj.measures):
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.weights, b.weights)
+
+
+def test_field_without_flow_map_solves_by_rk4_at_default_step(monkeypatch):
+    # the one RK4 path left: a hand-built field pushes at default_step(tau)
+    # and lands within 1e-10 of the exact map it lacks
+    steps = []
+
+    def recorded(v, t_from, t_to, points, step_h, *args):
+        steps.append(step_h)
+        return advect(v, t_from, t_to, points, step_h, *args)
+
+    monkeypatch.setattr("mvt.transport.advect", recorded)
+    spec = builtin_reaction("dirac_source", [0.5, 0.7])
+    exact = builtin_field("constant", [0.3], 1)
+    nu = measure([[-0.5], [0.4]], [1.0, 0.5])
+    config, tau = SolverConfig(quad_nodes=9), 0.2
+    traj = solve_interval(spec, dataclasses.replace(exact, flow_map=None), 0.0, tau, nu, config)
+    assert steps and set(steps) == {default_step(tau)}
+    ref = solve_interval(spec, exact, 0.0, tau, nu, config)
+    np.testing.assert_array_equal(traj.times, ref.times)
+    for a, b in zip(traj.measures, ref.measures):
+        assert a.num_atoms == b.num_atoms
+        np.testing.assert_allclose(a.points, b.points, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(a.weights, b.weights, rtol=0.0, atol=1e-10)
 
 
 # --- rate-only sweeps on weight arrays --------------------------------------

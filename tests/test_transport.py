@@ -1,4 +1,6 @@
 """Push-forward operators and their certified norm bounds."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,17 @@ from hypothesis import strategies as st
 
 from helpers import random_positive, random_signed
 from mvt.flat_metric import fm_distance, fm_norm
-from mvt.flow import flow_displacement_bound, lipschitz_bound
-from mvt.grids import gaussian_density, interpolate, lp_norm, mass
+from mvt.flow import (
+    advect,
+    advect_with_logjac,
+    default_step,
+    flow_displacement_bound,
+    lipschitz_bound,
+)
+from mvt.grids import gaussian_density, interpolate, lp_norm, mass, uniform_density
 from mvt.measures import linear_combine, measure, tv_norm
 from mvt.transport import (
+    backward_characteristics,
     conjugate_exponent,
     lp_growth_factor,
     lp_transport_bound,
@@ -25,6 +34,23 @@ def test_pushforward_translation_exact():
     out = pushforward_measure(v, 0.0, 2.0, mu)
     np.testing.assert_allclose(out.points, mu.points + np.array([1.0, -0.5]), atol=1e-12)
     np.testing.assert_array_equal(out.weights, mu.weights)
+
+
+def test_field_without_flow_map_pushes_by_rk4():
+    # a hand-built field has no exact map: both transports are RK4 at
+    # default_step(t - s), bit for bit
+    v = dataclasses.replace(builtin_field("constant", [0.3], 1), flow_map=None)
+    s, t = 0.1, 0.35
+    h = default_step(t - s)
+    mu = measure([[-0.5], [0.4]], [1.0, 0.5])
+    np.testing.assert_array_equal(
+        pushforward_measure(v, s, t, mu).points, advect(v, s, t, mu.points, h, mu.domain)
+    )
+    grid = uniform_density([-1.0], [1.0], 16, 0.75, 2.0)
+    feet, jac = backward_characteristics(v, s, t, grid)
+    ref_feet, ref_logjac = advect_with_logjac(v, t, s, grid.center_points(), h, grid.domain)
+    np.testing.assert_array_equal(feet, ref_feet)
+    np.testing.assert_array_equal(jac, np.exp(ref_logjac))
 
 
 def test_pushforward_preserves_mass_tv_positivity(rng):
