@@ -21,7 +21,9 @@ each geometry solves the LP on its own edge set:
 * 2D and 3D: every pair with d < 2; farther pairs are implied by the box.
 
 Outside 1D Euclidean space ``fm_norm`` solves the sparse LP with scipy's
-HiGHS, one two-sided row per edge.  Both routes are deterministic.
+HiGHS, one two-sided row per edge.  ``fm_norms`` solves a list's LPs as
+the blocks of one block-diagonal LP, in one call: the blocks share no
+variable, so it is optimal block by block.  Both routes are deterministic.
 
 ``fm_norm_oracle`` cross-checks ``fm_norm`` on small supports through the
 dual problem, a min-cost transshipment over all pairs, so agreement is a
@@ -33,8 +35,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from .geometry import EUCLIDEAN, distance, pairwise_distances
 from .measures import DiscreteSignedMeasure, linear_combine
@@ -69,7 +71,14 @@ def fm_norm(mu: DiscreteSignedMeasure) -> FlatNormResult:
     if mu.dim == 1 and mu.domain == EUCLIDEAN:
         value, f = _fm_chain_1d(mu.points[:, 0], w)
         return FlatNormResult(value, f, STATUS_OPTIMAL)
-    return _fm_lp(mu)
+    return _fm_lp([mu])[0]
+
+
+def fm_norms(mus: list[DiscreteSignedMeasure]) -> list[FlatNormResult]:
+    """``fm_norm`` of each measure, with all the LPs among them in one HiGHS call."""
+    lp = [mu.num_atoms > 1 and (mu.dim > 1 or mu.domain != EUCLIDEAN) for mu in mus]
+    solved = iter(_fm_lp([mu for mu, x in zip(mus, lp) if x]))
+    return [next(solved) if x else fm_norm(mu) for mu, x in zip(mus, lp)]
 
 
 def fm_distance(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> float:
@@ -100,7 +109,7 @@ def fm_norm_oracle(mu: DiscreteSignedMeasure) -> float:
     balance[dst, arcs] = -1.0
     balance[:, src.size : src.size + n] = np.eye(n)  # atom -> ground
     balance[:, src.size + n :] = -np.eye(n)  # ground -> atom
-    res = scipy.optimize.linprog(
+    res = linprog(
         c=np.concatenate([cost[src, dst], np.ones(2 * n)]),
         A_eq=balance,
         b_eq=np.asarray(mu.weights, dtype=float),
@@ -189,27 +198,34 @@ def _fm_chain_1d(points: np.ndarray, weights: np.ndarray):
 # Route 2: sparse LP on the geometry's edge set, solved by HiGHS.
 # ---------------------------------------------------------------------------
 
-def _fm_lp(mu: DiscreteSignedMeasure) -> FlatNormResult:
-    n = mu.num_atoms
-    w = np.asarray(mu.weights, dtype=float)
-    if mu.dim == 1:  # the torus: Euclidean 1D never reaches this route
-        i = np.argsort(mu.points[:, 0], kind="stable")
-        j = np.roll(i, -1)
-        d = distance(mu.points[i], mu.points[j], mu.domain)
-    else:
-        dist = pairwise_distances(mu.points, mu.domain)
-        i, j = np.nonzero(np.triu(dist < _PRUNE_AT - 1e-12, k=1))
-        d = dist[i, j]
+def _fm_lp(mus: list[DiscreteSignedMeasure]) -> list[FlatNormResult]:
+    """The measures' LPs in one call; a failed batch is re-solved block by block."""
+    if not mus:
+        return []
+    blocks, n = [], 0  # (i, j, d) per block, columns past the blocks before
+    for mu in mus:
+        if mu.dim == 1:  # the torus: Euclidean 1D never reaches this route
+            i = np.argsort(mu.points[:, 0], kind="stable")
+            j = np.roll(i, -1)
+            d = distance(mu.points[i], mu.points[j], mu.domain)
+        else:
+            dist = pairwise_distances(mu.points, mu.domain)
+            i, j = np.nonzero(np.triu(dist < _PRUNE_AT - 1e-12, k=1))
+            d = dist[i, j]
+        blocks.append((i + n, j + n, d))
+        n += mu.num_atoms
+    i, j, d = (np.concatenate(x) for x in zip(*blocks))
     rows = np.arange(i.size)
     edges = scipy.sparse.csr_array(
         (np.repeat([1.0, -1.0], i.size), (np.tile(rows, 2), np.concatenate([i, j]))),
         shape=(i.size, n),
     )
-    res = scipy.optimize.milp(
-        -w,
-        constraints=scipy.optimize.LinearConstraint(edges, -d, d),
-        bounds=scipy.optimize.Bounds(-1.0, 1.0),
-    )
+    w = np.concatenate([np.asarray(mu.weights, dtype=float) for mu in mus])
+    res = milp(-w, constraints=LinearConstraint(edges, -d, d), bounds=Bounds(-1.0, 1.0))
+    if res.status != 0 and len(mus) > 1:
+        return [_fm_lp([mu])[0] for mu in mus]
     if res.status != 0:
-        return FlatNormResult(float("nan"), np.zeros(n), STATUS_NUMERICS)
-    return FlatNormResult(float(w @ res.x), res.x, STATUS_OPTIMAL)
+        return [FlatNormResult(float("nan"), np.zeros(n), STATUS_NUMERICS)]
+    cuts = np.cumsum([mu.num_atoms for mu in mus])[:-1]
+    return [FlatNormResult(float(w_b @ f_b), f_b, STATUS_OPTIMAL)
+            for w_b, f_b in zip(np.split(w, cuts), np.split(res.x, cuts))]

@@ -16,7 +16,8 @@ Coalescing merges the connected components of the eps-graph: a
 ``scipy.spatial.cKDTree`` (periodic on the torus) proposes the pairs
 within 2 * eps, the exact rule ``geometry.distance <= eps`` keeps the
 edges, and ``scipy.sparse.csgraph.connected_components`` groups them,
-numbering components by their lowest atom index.
+numbering components by their lowest atom index.  All components of
+2-7 atoms merge in one array pass, bitwise as ``np.sum`` per component.
 
 One rule, ``_separated``, lets coalescing skip the merge pass: when the
 sorted first coordinates of a support have every gap (and, on the
@@ -30,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -178,17 +180,31 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray):
     return points[order], weights[order]
 
 
+def _left_sum(x: np.ndarray) -> np.ndarray:  # over axis 1 from 0.0, as np.sum adds < 8 terms
+    return reduce(np.add, np.moveaxis(x, 1, 0), 0.0)
+
+
+def _merged(pts: np.ndarray, w: np.ndarray, sizes, domain: str, total):
+    """Each row's merged atom, ``total`` summing a row: its first (lowest) member
+    plus the |w|-weighted mean offset (plain if all w are 0), weighing sum w."""
+    rel = pts - pts[:, :1]
+    if domain == TORUS:
+        rel = rel - np.round(rel)
+    aw = total(np.abs(w))
+    moment = np.where(aw[:, None] > 0.0, total(np.abs(w)[..., None] * rel), total(rel))
+    return pts[:, 0] + moment / np.where(aw > 0.0, aw, sizes)[:, None], total(w)
+
+
 def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float):
     """One clustering pass: merge connected components of the eps-graph.
 
-    A KD-tree (periodic with ``boxsize=1.0`` on the torus, built on the
-    wrapped points) proposes every pair within ``2 * eps``, and the
-    exact rule ``geometry.distance <= eps`` keeps the edges, so the
-    tree's rounding cannot change the graph.  Components are numbered
-    by their lowest atom index, which fixes the output row order.  A
-    lone atom is ``points[i] + 0.0`` (wrapped on the torus) with weight
-    ``weights[i] + 0.0``, bitwise what the group arithmetic gives one
-    member.  When no edge survives, the inputs come back unchanged.
+    Components of 2-7 atoms merge at once, as rows padded to 7 members
+    by the lowest at weight 0.0, which adds nothing to a left-to-right
+    sum: bitwise, that is ``np.sum`` per component.  From 8 terms
+    ``np.sum`` reorders, so bigger ones call it one by one.  A lone atom
+    is ``points[i] + 0.0`` (wrapped on the torus) with weight
+    ``weights[i] + 0.0``.  When no edge survives, the inputs come back
+    unchanged.
     """
     n = points.shape[0]
     if domain == TORUS:
@@ -204,28 +220,19 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")  # by component, then index
     starts = np.cumsum(sizes) - sizes
-    lowest = members[starts]
-    new_pts = points[lowest] + 0.0
+    new_pts = points[members[starts]] + 0.0
+    new_wts = weights[members[starts]] + 0.0
+    rows = np.flatnonzero((sizes > 1) & (sizes < 8))
+    live = np.arange(7) < sizes[rows, None]
+    idxs = members[starts[rows, None] + np.where(live, np.arange(7), 0)]  # pads: the lowest
+    new_pts[rows], new_wts[rows] = _merged(
+        points[idxs], np.where(live, weights[idxs], 0.0), sizes[rows], domain, _left_sum)
+    for row in np.flatnonzero(sizes >= 8):
+        idxs = members[None, starts[row]:starts[row] + sizes[row]]
+        new_pts[[row]], new_wts[[row]] = _merged(
+            points[idxs], weights[idxs], sizes[row], domain, partial(np.sum, axis=1))
     if domain == TORUS:
         new_pts = wrap_torus(new_pts)
-    new_wts = weights[lowest] + 0.0
-    for row in np.flatnonzero(sizes > 1):
-        idxs = members[starts[row]:starts[row] + sizes[row]]
-        w = weights[idxs]
-        total_abs = np.sum(np.abs(w))
-        ref = points[idxs[0]]
-        rel = points[idxs] - ref
-        if domain == TORUS:
-            rel = rel - np.round(rel)
-        if total_abs > 0.0:
-            mean_rel = np.sum(np.abs(w)[:, None] * rel, axis=0) / total_abs
-        else:
-            mean_rel = np.mean(rel, axis=0)
-        pos = ref + mean_rel
-        if domain == TORUS:
-            pos = wrap_torus(pos.reshape(1, -1))[0]
-        new_pts[row] = pos
-        new_wts[row] = np.sum(w)
     return new_pts, new_wts, True
 
 

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flat_metric import STATUS_OPTIMAL, fm_norm
+from .flat_metric import STATUS_OPTIMAL, fm_norm, fm_norms
 from .flow import default_step, lipschitz_bound
 from .grids import GridDensity, lp_norm, with_values
 from .measures import (
@@ -110,8 +110,8 @@ class SolverConfig:
             raise ValueError("picard_tol must be finite and at least 1e-12")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
-        if self.tv_blowup_threshold is not None and not self.tv_blowup_threshold > 0:
-            raise ValueError("tv_blowup_threshold must be positive")
+        if self.tv_blowup_threshold is not None and not 0 < self.tv_blowup_threshold < math.inf:
+            raise ValueError("tv_blowup_threshold must be positive and finite")
         if self.dilation_mode not in DILATION_MODES:
             raise ValueError(f"dilation_mode must be one of {DILATION_MODES}")
         if not 0 <= self.dilation_c < math.inf:
@@ -405,7 +405,8 @@ def _curve_distance(
     """sup over nodes of the flat distance between two iterates.
 
     Total variation dominates the flat norm, so nodes whose TV gap is
-    already far below tolerance skip the LP.  Two ``_NodeWeights`` are
+    already far below tolerance skip the LP; the rest go to ``fm_norms``
+    together, so their LPs take one HiGHS call.  Two ``_NodeWeights`` are
     subtracted on the shared support, as ``linear_combine`` would.
     """
     if isinstance(new, _NodeWeights) and isinstance(old, _NodeWeights):
@@ -415,12 +416,17 @@ def _curve_distance(
                  for p, x, row in zip(new.points, diff, keep))
     else:
         diffs = (linear_combine(1.0, a, -1.0, b) for a, b in zip(new, old))
-    worst = 0.0
-    for diff in diffs:
+    worst, far = 0.0, {}
+    for k, diff in enumerate(diffs):
         d = tv_norm(diff)
         if d > 1e-3 * tol:
-            d = _fm_of(diff)
-        worst = max(worst, d)
+            far[k] = diff
+        else:
+            worst = max(worst, d)
+    for k, res in zip(far, fm_norms(list(far.values()))):
+        if res.status != STATUS_OPTIMAL:
+            raise SolverError(f"flat-norm evaluation failed at node {k} with status {res.status!r}")
+        worst = max(worst, res.value)
     return worst
 
 

@@ -97,8 +97,10 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     (BASIC + "\n[solver]\npicard_tol = inf\n", "picard_tol"),
     (BASIC + "\n[solver]\ndilation_mode = fixed\ndilation_c = nan\n", "dilation_c"),
     (BASIC + "\n[solver]\ndilation_mode = fixed\ndilation_c = inf\n", "dilation_c"),
+    (BASIC + "\n[solver]\ntv_blowup_threshold = inf\n", "tv_blowup_threshold"),
     (BASIC.replace("horizon = 0.2", "horizon = inf"), "horizon"),
-], ids=["delta", "picard_tol", "dilation_c_nan", "dilation_c_inf", "horizon"])
+], ids=["delta", "picard_tol", "dilation_c_nan", "dilation_c_inf", "tv_blowup_threshold",
+        "horizon"])
 def test_simulate_rejects_nonfinite_values(tmp_path, capsys, text, key):
     cfg = _write(tmp_path, text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_positive, random_signed, random_sine_function
-from mvt.flat_metric import STATUS_OPTIMAL, fm_distance, fm_norm, fm_norm_oracle
-from mvt.geometry import TORUS, pairwise_distances
+from mvt.flat_metric import STATUS_OPTIMAL, fm_distance, fm_norm, fm_norm_oracle, fm_norms
+from mvt.geometry import EUCLIDEAN, TORUS, pairwise_distances
 from mvt.measures import (
     dirac,
     empty_measure,
@@ -219,3 +219,25 @@ def test_chain_memory_is_linear():
     assert np.all(np.abs(f) <= 1.0 + 1e-9)
     assert np.all(np.abs(np.diff(f)) <= np.diff(x) + 1e-9)
     assert float(f @ mu.weights) == pytest.approx(res.value, abs=1e-9)
+
+
+_MIXED_KINDS = [(0, 1, EUCLIDEAN), (1, 2, EUCLIDEAN), (1, 1, EUCLIDEAN), (7, 1, EUCLIDEAN),
+                (2, 1, TORUS), (9, 1, TORUS), (6, 2, EUCLIDEAN), (6, 2, TORUS),
+                (5, 3, EUCLIDEAN), (4, 3, TORUS)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(_MIXED_KINDS), max_size=12))
+def test_batched_norms_match_single_solves(seed, kinds):
+    """``fm_norms`` on a mixed list agrees with ``fm_norm`` measure by measure."""
+    rng = np.random.default_rng(seed)
+    mus = [random_signed(rng, n, dim, domain=domain) if n else empty_measure(dim, domain)
+           for n, dim, domain in kinds]
+    batched = fm_norms(mus)
+    assert len(batched) == len(mus)
+    for mu, got in zip(mus, batched):
+        want = fm_norm(mu)
+        assert got.status == want.status == STATUS_OPTIMAL
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+        if mu.num_atoms:
+            _certificate_ok(mu, got)

@@ -353,3 +353,74 @@ def test_coalesce_groups_are_eps_graph_components(seed, dim, domain):
     assert sorted(got) == sorted(want)
     for label, total in want.items():
         assert got[label].tobytes() == total.tobytes()
+
+
+def _merge_pass_by_loop(points, weights, domain, eps):
+    """Reference merge: the graph of ``_merge_pass``, then one ``np.sum`` per component."""
+    n = points.shape[0]
+    reach = distance(points[:, None, :], points[None, :, :], domain) <= eps
+    if np.array_equal(reach, np.eye(n, dtype=bool)):
+        return points, weights, False
+    labels = np.unique(_brute_force_components(points, domain), return_inverse=True)[1]
+    sizes = np.bincount(labels)
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    lowest = members[starts]
+    new_pts = points[lowest] + 0.0
+    if domain == TORUS:
+        new_pts = wrap_torus(new_pts)
+    new_wts = weights[lowest] + 0.0
+    for row in np.flatnonzero(sizes > 1):
+        idxs = members[starts[row]:starts[row] + sizes[row]]
+        w = weights[idxs]
+        total_abs = np.sum(np.abs(w))
+        ref = points[idxs[0]]
+        rel = points[idxs] - ref
+        if domain == TORUS:
+            rel = rel - np.round(rel)
+        if total_abs > 0.0:
+            mean_rel = np.sum(np.abs(w)[:, None] * rel, axis=0) / total_abs
+        else:
+            mean_rel = np.mean(rel, axis=0)
+        pos = ref + mean_rel
+        if domain == TORUS:
+            pos = wrap_torus(pos.reshape(1, -1))[0]
+        new_pts[row] = pos
+        new_wts[row] = np.sum(w)
+    return new_pts, new_wts, True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([EUCLIDEAN, TORUS]),
+)
+def test_merge_pass_bitwise_with_components_of_4_to_9(seed, dim, domain):
+    """Components of 4, 5, 8 and 9 atoms (one across the torus wrap, one
+    possibly all-zero) merge bitwise as a per-component ``np.sum`` loop."""
+    eps = COALESCE_EPS
+    rng = np.random.default_rng(seed)
+    lo, hi = (0.0, 1.0) if domain == TORUS else (-1.5, 1.5)
+    rows = list(_clustered_support(rng, dim, domain))
+    w = list(rng.uniform(-2.0, 2.0, size=len(rows)))
+    for size in (4, 5, 8, 9):
+        cluster = np.tile(rng.uniform(lo, hi, size=dim), (size, 1))
+        chain = np.cumsum(rng.uniform(0.0, 0.99 * eps, size=size))  # gaps stay within eps
+        if size == 8 and domain == TORUS:
+            cluster[:, -1] = np.mod(1.0 - 4.0 * eps + chain, 1.0)
+        else:
+            cluster[:, -1] += chain
+        rows += list(cluster)
+        # magnitudes spread over decades, so a change of summation order shows
+        w_cluster = rng.uniform(-2.0, 2.0, size=size) * 10.0 ** rng.integers(-6, 3, size=size)
+        if size == 5 and rng.random() < 0.3:
+            w_cluster[:] = 0.0  # an all-zero component sits at its members' plain mean
+        w += list(w_cluster)
+    order = rng.permutation(len(rows))
+    pts, w = np.array(rows)[order], np.array(w)[order]
+    got = mvt.measures._merge_pass(pts, w, domain, eps)
+    want = _merge_pass_by_loop(pts, w, domain, eps)
+    assert got[2] is want[2] is True
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()

@@ -174,13 +174,13 @@ def test_verify_assumptions_raises_when_lipschitz_lhs_solve_fails(monkeypatch):
     real_lp = flat_metric._fm_lp
     calls = []
 
-    def fail_first(mu):
-        calls.append(mu.num_atoms)
+    def fail_first(mus):
+        calls.append([mu.num_atoms for mu in mus])
         if len(calls) == 1:
-            return flat_metric.FlatNormResult(
+            return [flat_metric.FlatNormResult(
                 float("nan"), np.zeros(mu.num_atoms), flat_metric.STATUS_NUMERICS
-            )
-        return real_lp(mu)
+            ) for mu in mus]
+        return real_lp(mus)
 
     monkeypatch.setattr(flat_metric, "_fm_lp", fail_first)
     with pytest.raises(flat_metric.FlatNormError):

@@ -1,4 +1,5 @@
 """Scenario configs: INI parsing, initial data builders, bundled registry."""
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -176,6 +177,17 @@ def test_parse_rejects_nonfinite_values(tmp_path, old, new, key):
     assert text.count(old) == 1
     with pytest.raises(ScenarioError, match=key):
         parse_scenario(_write(tmp_path, text.replace(old, new)))
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0.0"])
+def test_parse_rejects_unusable_tv_blowup_threshold(tmp_path, value):
+    """A threshold that is not positive and finite is a config error that
+    names its key: at inf, a blowing-up run goes on to the interval budget."""
+    text = (CONFIG_DIR / "riccati_blowup.ini").read_text()
+    assert text.count("tv_blowup_threshold = ") == 1
+    text = re.sub(r"tv_blowup_threshold = \S+", f"tv_blowup_threshold = {value}", text)
+    with pytest.raises(ScenarioError, match="tv_blowup_threshold"):
+        parse_scenario(_write(tmp_path, text))
 
 
 def test_parse_seed_key_controls_random_cloud(tmp_path):

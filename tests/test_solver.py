@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import fail_fixed_point_on_call
+import mvt.flat_metric
 from mvt import solver
 from mvt.flat_metric import fm_distance, fm_norm
 from mvt.flow import advect, default_step
@@ -15,6 +16,7 @@ from mvt.grids import lp_norm, quantize, uniform_density
 from mvt.measures import (
     DiscreteSignedMeasure,
     dirac,
+    empty_measure,
     linear_combine,
     measure,
     negative_part_tv,
@@ -751,3 +753,24 @@ def test_sample_trajectory_nodes_and_midpoints():
     assert mid.total_mass == pytest.approx(exact, rel=1e-4)
     with pytest.raises(ValueError):
         sample_trajectory(v, traj.times, traj.measures, 0.6)
+
+
+def test_curve_distance_names_the_node_whose_lp_fails(monkeypatch):
+    """A failed batch is re-solved block by block; the failing block's node is named."""
+    rng = np.random.default_rng(5)
+    new = [measure(rng.uniform(-1.0, 1.0, size=(n, 2)), rng.uniform(0.5, 1.0, size=n))
+           for n in (3, 3, 5, 3)]
+    old = [empty_measure(2)] * len(new)
+    milp, sizes = mvt.flat_metric.milp, []
+
+    def failing_milp(c, **kwargs):  # the batch and the 5-atom block fail
+        sizes.append(c.size)
+        res = milp(c, **kwargs)
+        if c.size != 3:
+            res.status = 4
+        return res
+
+    monkeypatch.setattr(mvt.flat_metric, "milp", failing_milp)
+    with pytest.raises(SolverError, match="at node 2 with status 'infeasible_numerics'"):
+        solver._curve_distance(new, old, 1e-8)
+    assert sizes == [14, 3, 3, 5, 3]
