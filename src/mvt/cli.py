@@ -45,6 +45,7 @@ _cap_threads()
 
 import argparse
 import csv
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,7 @@ def run_metric(path_a: str, path_b: str, domain: str) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvt",

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.special
 
 from .geometry import EUCLIDEAN, TORUS, validate_dim, validate_domain, wrap_torus
-from .measures import WEIGHT_EPS, DiscreteSignedMeasure, measure
+from .measures import WEIGHT_EPS, DiscreteSignedMeasure, measure, write_float_rows
 
 
 class GridError(ValueError):
@@ -133,25 +133,35 @@ def interpolate(u: GridDensity, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, u.dim)
-    if u.domain == TORUS:
+    torus = u.domain == TORUS
+    if torus:
         pts = wrap_torus(pts.copy())
-    widths = u.cell_widths
-    rel = (pts - u.box_min) / widths - 0.5
-    base = np.floor(rel).astype(np.int64)
-    frac = rel - base
+    n = u.cells
+    # Per axis, the (flat index term, weight, in-box mask) of its low and
+    # high neighbour; a corner's weight is the product over the axes,
+    # left to right, and corners add up in itertools.product order.
+    sides = []
+    for k in range(u.dim):
+        rel = (pts[:, k] - u.box_min[k]) / u.cell_widths[k] - 0.5
+        lo = np.floor(rel).astype(np.int64)
+        f = rel - lo
+        stride = n ** (u.dim - 1 - k)
+        axis = []
+        for idx, w in ((lo, 1.0 - f), (lo + 1, f)):
+            inside = True if torus else (idx >= 0) & (idx < n)
+            idx = np.mod(idx, n) if torus else np.clip(idx, 0, n - 1)
+            axis.append((idx * stride, w, inside))
+        sides.append(axis)
+    values = u.values.ravel()
     out = np.zeros(pts.shape[0])
-    for corner in product((0, 1), repeat=u.dim):
-        idx = base + np.array(corner, dtype=np.int64)
-        weight = np.ones(pts.shape[0])
-        for k in range(u.dim):
-            weight = weight * np.where(corner[k], frac[:, k], 1.0 - frac[:, k])
-        if u.domain == TORUS:
-            gather = tuple(np.mod(idx[:, k], u.cells) for k in range(u.dim))
-            out += weight * u.values[gather]
-        else:
-            valid = np.all((idx >= 0) & (idx < u.cells), axis=1)
-            gather = tuple(np.clip(idx[:, k], 0, u.cells - 1) for k in range(u.dim))
-            out += np.where(valid, weight * u.values[gather], 0.0)
+    for corner in product(*sides):
+        flat, weight, valid = corner[0]
+        for idx, w, inside in corner[1:]:
+            flat = flat + idx
+            weight = weight * w
+            valid = valid & inside
+        term = weight * values[flat]
+        out += term if torus else np.where(valid, term, 0.0)
     return out
 
 
@@ -220,25 +230,20 @@ def gaussian_density(
 # density values one per line.
 # ---------------------------------------------------------------------------
 
-def density_to_csv(u: GridDensity) -> str:
-    dim = u.dim
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = (
+def _csv_header(dim: int) -> list[str]:
+    return (
         ["cells_per_axis"]
         + [f"box_min_{k + 1}" for k in range(dim)]
         + [f"box_max_{k + 1}" for k in range(dim)]
         + ["p"]
     )
-    writer.writerow(header)
-    writer.writerow(
-        [str(u.cells)]
-        + [repr(float(x)) for x in u.box_min]
-        + [repr(float(x)) for x in u.box_max]
-        + ["inf" if np.isinf(u.p) else repr(float(u.p))]
-    )
-    for val in u.values.ravel():
-        writer.writerow([repr(float(val))])
+
+
+def density_to_csv(u: GridDensity) -> str:
+    meta = [repr(x) for x in [*u.box_min.tolist(), *u.box_max.tolist(), float(u.p)]]
+    buf = io.StringIO()
+    buf.write(",".join(_csv_header(u.dim)) + "\n" + ",".join([str(u.cells)] + meta) + "\n")
+    write_float_rows(buf, [u.values.ravel()])
     return buf.getvalue()
 
 
@@ -258,12 +263,7 @@ def density_from_csv(text: str, domain: str = EUCLIDEAN) -> GridDensity:
     if len(header) < 4 or header[0] != "cells_per_axis" or header[-1] != "p":
         raise GridError(f"bad density header {header!r}")
     dim = (len(header) - 2) // 2
-    expected = (
-        ["cells_per_axis"]
-        + [f"box_min_{k + 1}" for k in range(dim)]
-        + [f"box_max_{k + 1}" for k in range(dim)]
-        + ["p"]
-    )
+    expected = _csv_header(dim)
     if header != expected:
         raise GridError(f"bad density header {header!r}; expected {expected}")
     if len(meta) != len(header):
@@ -278,7 +278,10 @@ def density_from_csv(text: str, domain: str = EUCLIDEAN) -> GridDensity:
             continue
         if len(row) != 1:
             raise GridError(f"row {line_no}: expected a single density value")
-        flat.append(float(row[0]))
+        try:
+            flat.append(float(row[0]))
+        except ValueError as exc:
+            raise GridError(f"row {line_no}: {exc}") from None
     expected_count = cells**dim
     if len(flat) != expected_count:
         raise GridError(f"expected {expected_count} density values, got {len(flat)}")

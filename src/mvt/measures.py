@@ -389,20 +389,26 @@ def integrate(
 # CSV serialisation: header x1,...,xd,weight then one atom per row.
 # ---------------------------------------------------------------------------
 
+_CSV_CHUNK_ROWS = 4096
+
+
+def write_float_rows(fh, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length float columns to ``fh`` as CSV rows of ``repr`` values.
+
+    Formats ``_CSV_CHUNK_ROWS`` rows at a time, so a large table's row strings never all exist at once.
+    """
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        cells = [map(repr, np.asarray(c[start:stop], dtype=float).tolist()) for c in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))))
+        fh.write("\n")
+
+
 def measure_to_csv(mu: DiscreteSignedMeasure) -> str:
-    dim = mu.dim
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"x{k + 1}" for k in range(dim)] + ["weight"])
-    for row in range(mu.num_atoms):
-        writer.writerow(
-            [_fmt(c) for c in mu.points[row]] + [_fmt(mu.weights[row])]
-        )
+    buf.write(",".join([f"x{k + 1}" for k in range(mu.dim)] + ["weight"]) + "\n")
+    write_float_rows(buf, [*mu.points.T, mu.weights])
     return buf.getvalue()
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def save_measure(mu: DiscreteSignedMeasure, path: str) -> None:

@@ -204,7 +204,10 @@ def _parse_density(section, domain: str, dim: int) -> GridDensity:
     if kind == "csv":
         if not path:
             raise ScenarioError("density kind csv needs a path")
-        return load_density(path, domain)
+        density = load_density(path, domain)
+        if density.dim != dim:
+            raise ScenarioError(f"density file has dim {density.dim}, scenario says {dim}")
+        return density
     p_raw = _get(section, "p", "2.0")
     p = np.inf if p_raw in ("inf", "Infinity") else float(p_raw)
     cells_raw = _get(section, "cells")

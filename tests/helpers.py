@@ -1,10 +1,14 @@
-"""Seeded random generators and solver fault injection shared across the test modules."""
+"""Seeded random generators, solver fault injection and reference kernels shared across the test modules."""
 from __future__ import annotations
+
+import csv
+import io
+from itertools import product
 
 import numpy as np
 
 from mvt import solver
-from mvt.geometry import EUCLIDEAN, TORUS
+from mvt.geometry import EUCLIDEAN, TORUS, wrap_torus
 from mvt.measures import BoundedLipschitzFunction, DiscreteSignedMeasure, measure
 
 
@@ -66,3 +70,66 @@ def fail_fixed_point_on_call(monkeypatch, n: int) -> None:
         return fixed_point(*args)
 
     monkeypatch.setattr(solver, "_fixed_point", failing)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the straightforward per-corner and per-row forms that
+# grids.interpolate and the CSV writers must match bit for bit.
+# ---------------------------------------------------------------------------
+
+def reference_interpolate(u, points) -> np.ndarray:
+    """Multilinear interpolation, one full pass over the points per grid corner."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, u.dim)
+    if u.domain == TORUS:
+        pts = wrap_torus(pts.copy())
+    rel = (pts - u.box_min) / u.cell_widths - 0.5
+    base = np.floor(rel).astype(np.int64)
+    frac = rel - base
+    out = np.zeros(pts.shape[0])
+    for corner in product((0, 1), repeat=u.dim):
+        idx = base + np.array(corner, dtype=np.int64)
+        weight = np.ones(pts.shape[0])
+        for k in range(u.dim):
+            weight = weight * np.where(corner[k], frac[:, k], 1.0 - frac[:, k])
+        if u.domain == TORUS:
+            gather = tuple(np.mod(idx[:, k], u.cells) for k in range(u.dim))
+            out += weight * u.values[gather]
+        else:
+            valid = np.all((idx >= 0) & (idx < u.cells), axis=1)
+            gather = tuple(np.clip(idx[:, k], 0, u.cells - 1) for k in range(u.dim))
+            out += np.where(valid, weight * u.values[gather], 0.0)
+    return out
+
+
+def reference_density_csv(u) -> str:
+    """The density CSV written row by row through ``csv.writer``."""
+    dim = u.dim
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["cells_per_axis"]
+        + [f"box_min_{k + 1}" for k in range(dim)]
+        + [f"box_max_{k + 1}" for k in range(dim)]
+        + ["p"]
+    )
+    writer.writerow(
+        [str(u.cells)]
+        + [repr(float(x)) for x in u.box_min]
+        + [repr(float(x)) for x in u.box_max]
+        + ["inf" if np.isinf(u.p) else repr(float(u.p))]
+    )
+    for val in u.values.ravel():
+        writer.writerow([repr(float(val))])
+    return buf.getvalue()
+
+
+def reference_measure_csv(mu) -> str:
+    """The measure CSV written row by row through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"x{k + 1}" for k in range(mu.dim)] + ["weight"])
+    for row in range(mu.num_atoms):
+        writer.writerow([repr(float(c)) for c in mu.points[row]] + [repr(float(mu.weights[row]))])
+    return buf.getvalue()

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import fail_fixed_point_on_call
-from mvt import flat_metric
+from helpers import fail_fixed_point_on_call, reference_density_csv
+from mvt import cli, flat_metric
 from mvt.cli import main, run_simulate
 from mvt.geometry import TORUS
+from mvt.grids import gaussian_density, load_density, save_density
 from mvt.measures import dirac, measure, save_measure
 from mvt.scenarios import CONFIG_DIR
 
@@ -84,6 +85,40 @@ def test_simulate_density_outputs(tmp_path, capsys):
     # every manifest row names a density file for this scenario
     for row in (out / "snapshots.csv").read_text().splitlines()[1:]:
         assert row.split(",")[3].startswith("density_")
+
+
+def test_simulate_density_snapshots_match_row_writer(tmp_path, capsys):
+    out = tmp_path / "rotation"
+    assert main(["simulate", "--config", str(CONFIG_DIR / "lp_rotation.ini"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = sorted(out.glob("density_*.csv"))
+    assert len(files) == 9
+    for path in files:
+        text = path.read_text()
+        assert text == reference_density_csv(load_density(str(path)))
+
+
+def test_simulate_rejects_density_file_of_wrong_dim(tmp_path, capsys):
+    path = tmp_path / "line.csv"
+    save_density(gaussian_density([-2.0], [2.0], 16, 0.5, [0.0], 2.0), str(path))
+    text = (BASIC.replace("dim = 1", "dim = 2")
+            .replace("name = constant\nparams = 0.3", "name = linear\nparams = -0.5")
+            .replace("params = 1.0, 0.0, 0.5, 0.4", "params = 1.0, 0.0, 0.0")
+            + f"\n[density]\nkind = csv\npath = {path}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert "density file has dim 1, scenario says 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_built_once(capsys):
+    cli._build_parser.cache_clear()
+    assert main(["verify", "--suite", "bogus"]) == 2
+    parser = cli._build_parser()
+    assert main(["verify", "--suite", "bogus"]) == 2
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+    capsys.readouterr()
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from mvt.geometry import TORUS
+from helpers import reference_density_csv, reference_interpolate
+from mvt.geometry import EUCLIDEAN, TORUS
 from mvt.grids import (
     GridError,
     density_from_csv,
@@ -100,6 +101,31 @@ def test_interpolate_torus_wraps():
     assert interpolate(u, np.array([[0.0]]))[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interpolate_bitwise_matches_corner_loop(dim, domain):
+    rng = np.random.default_rng(10 * dim + (domain == TORUS))
+    for cells in (1, 2, 5, 9):
+        if domain == TORUS:
+            lo, hi = np.zeros(dim), np.ones(dim)
+        else:
+            lo = rng.uniform(-2.0, 0.0, dim)
+            hi = lo + rng.uniform(0.5, 3.0, dim)
+        vals = rng.normal(size=(cells,) * dim)
+        vals[rng.random(vals.shape) < 0.25] = -0.0
+        u = grid_density(lo, hi, cells, vals, 2.0, domain)
+        span = hi - lo
+        pts = np.vstack([
+            rng.uniform(lo - span, hi + span, size=(300, dim)),  # many outside the box
+            u.center_points(),
+            np.array([lo, hi, lo - 0.5 * u.cell_widths, hi + 0.5 * u.cell_widths]),
+        ])
+        got = interpolate(u, pts)
+        assert got.tobytes() == reference_interpolate(u, pts).tobytes()
+        flat = pts.ravel()
+        assert interpolate(u, flat).tobytes() == reference_interpolate(u, flat).tobytes()
+
+
 def test_with_values_keeps_geometry():
     u = uniform_density([0.0], [1.0], 4, 1.0, 2.0)
     w = with_values(u, np.array([1.0, 2.0, 3.0, 4.0]))
@@ -117,6 +143,27 @@ def test_density_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, u.values)
     np.testing.assert_array_equal(back.box_min, u.box_min)
     assert density_to_csv(back) == density_to_csv(u)
+
+
+@pytest.mark.parametrize("p", [2.0, np.inf])
+def test_density_csv_bytes_match_row_writer(p):
+    from mvt.measures import _CSV_CHUNK_ROWS
+
+    cells = 70  # 4900 cells: more than one chunk of rows
+    assert cells**2 > _CSV_CHUNK_ROWS
+    vals = np.random.default_rng(5).normal(size=(cells, cells))
+    vals.ravel()[:6] = [-0.0, 5e-324, 1e300, -1e300, 2.2250738585072014e-308, 1.0 / 3.0]
+    vals.ravel()[_CSV_CHUNK_ROWS - 1 : _CSV_CHUNK_ROWS + 1] = [-0.0, 5e-324]
+    u = grid_density([-1.5, 0.25], [2.0, 1.0 / 3.0], cells, vals, p)
+    assert density_to_csv(u) == reference_density_csv(u)
+    small = uniform_density([0.0], [1.0], 1, -0.0, p)
+    assert density_to_csv(small) == reference_density_csv(small)
+
+
+def test_density_from_csv_names_bad_row():
+    text = "cells_per_axis,box_min_1,box_max_1,p\n2,0.0,1.0,2.0\n1.0\nabc\n"
+    with pytest.raises(GridError, match="row 4: could not convert"):
+        density_from_csv(text)
 
 
 def test_density_csv_validation():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvt.measures
-from helpers import random_signed
+from helpers import random_signed, reference_measure_csv
 from mvt.geometry import EUCLIDEAN, TORUS, distance, wrap_torus
 from mvt.grids import quantize, uniform_density
 from mvt.measures import (
@@ -180,6 +180,20 @@ def test_csv_round_trip_exact(tmp_path):
     np.testing.assert_array_equal(back.weights, mu.weights)
     # serialisation itself is deterministic
     assert measure_to_csv(back) == measure_to_csv(mu)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_measure_csv_bytes_match_row_writer(dim):
+    n = mvt.measures._CSV_CHUNK_ROWS + 37  # more than one chunk of rows
+    rng = np.random.default_rng(dim)
+    wts = rng.normal(size=n)
+    wts[:4] = [5e-324, 1e300, -1e300, 1.0 / 3.0]
+    pts = rng.normal(size=(n, dim))
+    pts[:3, 0] = [-0.0, 5e-324, 1e300]
+    mu = DiscreteSignedMeasure(pts, wts, EUCLIDEAN)
+    assert measure_to_csv(mu) == reference_measure_csv(mu)
+    empty = empty_measure(dim)
+    assert measure_to_csv(empty) == reference_measure_csv(empty)
 
 
 def test_csv_header_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvt.geometry import TORUS
-from mvt.grids import gaussian_density
+from mvt.grids import gaussian_density, save_density
 from mvt.measures import save_measure, dirac
 from mvt.scenarios import (
     BUNDLED_SCENARIOS,
@@ -310,6 +310,18 @@ params = 0.5, 0.3, 0.0
     np.testing.assert_array_equal(scenario.density.box_max, want.box_max)
     with pytest.raises(ScenarioError, match="sigma or sigma, c1..c2"):
         parse_scenario(_write(tmp_path, text.replace("params = 0.5, 0.3, 0.0", "params = 0.5, 0.3")))
+
+
+def test_density_csv_of_wrong_dim_rejected(tmp_path):
+    path = tmp_path / "line.csv"
+    save_density(gaussian_density([-2.0], [2.0], 16, 0.5, [0.0], 2.0), str(path))
+    text = MINIMAL.replace("dim = 1", "dim = 2").replace(
+        "params = 1.0, 0.0", "params = 1.0, 0.0, 0.0"
+    ) + f"\n[density]\nkind = csv\npath = {path}\n"
+    with pytest.raises(ScenarioError, match="density file has dim 1, scenario says 2"):
+        parse_scenario(_write(tmp_path, text))
+    scenario, _ = parse_scenario(_write(tmp_path, MINIMAL + f"\n[density]\nkind = csv\npath = {path}\n"))
+    assert scenario.density.dim == 1
 
 
 def test_density_grid_initial_quantizes(tmp_path):
