@@ -2,19 +2,27 @@
 """Solve every bundled scenario and print a one-line summary for each.
 
 Usage:
-    python scripts/run_all_scenarios.py [--only NAME] [--out DIR] [--expect BENCH.json]
+    python scripts/run_all_scenarios.py [--only NAME] [--out DIR]
+        [--expect BENCH.json] [--json FILE]
 
 The last column is a sha256 over the whole trajectory: times, every
 diagnostic array, each node's atom points and weights, each density's
 values, and the blow-up and horizon flags.  Two runs print the same
-digest exactly when their trajectories are bit-identical.
+digest exactly when their trajectories are bit-identical.  Each part
+also gets a digest of its own: one per diagnostic array, one over all
+nodes' points, one over their weights, one over the densities and one
+over the flags.
 
 With --out, each scenario also writes its trajectory.csv into
 DIR/<name>/ in the same format as ``mvt simulate``.
 
 With --expect, the digests are compared with ``scenarios.change.<name>.sha256``
 of a saved benchmark record such as BENCH_8.json; the script exits 1 and
-names every scenario whose digest moved.
+names every scenario whose digest moved, with the parts that moved where
+the record holds per-part digests (``scenarios.change.<name>.arrays``).
+
+With --json, the scenario entries (nodes, secs, sha256 and the per-part
+``arrays`` digests) are written to FILE in the form those records use.
 """
 import argparse
 import hashlib
@@ -30,30 +38,36 @@ from mvt.scenarios import BUNDLED_SCENARIOS, bundled_scenario
 from mvt.solver import Trajectory, solve_maximal
 
 
-def trajectory_digest(traj: Trajectory) -> str:
-    """sha256 hex digest of every array and flag of a trajectory."""
-    h = hashlib.sha256()
+DIAGNOSTICS = (
+    "times",
+    "tv_norm",
+    "neg_part_tv",
+    "fm_step_distance",
+    "picard_iters",
+    "contraction_ratio",
+    "lp_norm",
+)
 
-    def add(arr) -> None:
+
+def trajectory_digests(traj: Trajectory) -> tuple[str, dict[str, str]]:
+    """sha256 hex digest of every array and flag of a trajectory, and one per part."""
+    whole, parts = hashlib.sha256(), {}
+
+    def add(part: str, data: bytes) -> None:
+        for h in (whole, parts.setdefault(part, hashlib.sha256())):
+            h.update(data)
+
+    def add_array(part: str, arr) -> None:
         arr = np.ascontiguousarray(arr)
-        h.update(f"{arr.dtype.str}{arr.shape}".encode())
-        h.update(arr.tobytes())
+        add(part, f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
 
-    for arr in (
-        traj.times,
-        traj.tv_norm,
-        traj.neg_part_tv,
-        traj.fm_step_distance,
-        traj.picard_iters,
-        traj.contraction_ratio,
-        traj.lp_norm,
-    ):
-        add(arr)
+    for name in DIAGNOSTICS:
+        add_array(name, getattr(traj, name))
     for mu in traj.measures:
-        add(mu.points)
-        add(mu.weights)
+        add_array("points", mu.points)
+        add_array("weights", mu.weights)
     for dens in traj.densities or []:
-        add(dens.values)
+        add_array("densities", dens.values)
     flags = (
         traj.blown_up,
         traj.blowup_time,
@@ -61,8 +75,8 @@ def trajectory_digest(traj: Trajectory) -> str:
         traj.density_blowup_time,
         traj.reached_horizon,
     )
-    h.update(repr(flags).encode())
-    return h.hexdigest()
+    add("flags", repr(flags).encode())
+    return whole.hexdigest(), {part: h.hexdigest() for part, h in parts.items()}
 
 
 def main() -> int:
@@ -71,6 +85,8 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="directory for trajectory CSVs")
     parser.add_argument("--expect", default=None,
                         help="benchmark record whose scenario digests must match")
+    parser.add_argument("--json", default=None,
+                        help="file to write the scenario entries to, as JSON")
     args = parser.parse_args()
     expected = None
     if args.expect is not None:
@@ -84,7 +100,7 @@ def main() -> int:
     )
     print(header)
     print("-" * len(header))
-    moved = []
+    moved, entries = [], {}
     for name in names:
         sc = bundled_scenario(name)
         start = time.perf_counter()
@@ -98,9 +114,16 @@ def main() -> int:
             initial_density=sc.density,
         )
         secs = time.perf_counter() - start
-        digest = trajectory_digest(traj)
-        if expected is not None and expected.get(name, {}).get("sha256") != digest:
-            moved.append(name)
+        digest, arrays = trajectory_digests(traj)
+        entries[name] = {"nodes": len(traj.times), "secs": round(secs, 2),
+                         "sha256": digest, "arrays": arrays}
+        want = {} if expected is None else expected.get(name, {})
+        if expected is not None and want.get("sha256") != digest:
+            if "arrays" in want:
+                parts = [p for p in arrays if want["arrays"].get(p) != arrays[p]]
+                moved.append(f"{name} ({', '.join(parts)})")
+            else:
+                moved.append(f"{name} (no per-array digests in the record)")
         print(
             f"{name:<16} {len(traj.times):>6} {traj.final_time:>9.4f} "
             f"{traj.tv_norm[-1]:>12.6g} {traj.contraction_ratio.max():>9.3f} "
@@ -112,6 +135,10 @@ def main() -> int:
             out_dir = Path(args.out) / name
             out_dir.mkdir(parents=True, exist_ok=True)
             write_trajectory_csv(out_dir / "trajectory.csv", traj)
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(entries, fh, indent=1)
+            fh.write("\n")
     if expected is None:
         return 0
     if moved:

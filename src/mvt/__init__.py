@@ -43,8 +43,6 @@ _EXPORTS = {
     "negative_part_tv": "measures",
     "linear_combine": "measures",
     "multiply_by_function": "measures",
-    "jordan_decomposition": "measures",
-    "integrate": "measures",
     "measure_to_csv": "measures",
     "measure_from_csv": "measures",
     "save_measure": "measures",
@@ -67,7 +65,6 @@ _EXPORTS = {
     "lipschitz_bound": "flow",
     # transport operators
     "pushforward_measure": "transport",
-    "pushforward_density": "transport",
     "lp_growth_factor": "transport",
     "lp_transport_bound": "transport",
     # grids
@@ -102,7 +99,6 @@ _EXPORTS = {
     "picard_step": "solver",
     "solve_interval": "solver",
     "solve_maximal": "solver",
-    "sample_trajectory": "solver",
     # scenarios
     "ScenarioError": "scenarios",
     "Scenario": "scenarios",

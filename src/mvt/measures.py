@@ -354,35 +354,9 @@ def multiply_by_function(
     )
 
 
-def jordan_decomposition(
-    mu: DiscreteSignedMeasure,
-) -> tuple[DiscreteSignedMeasure, DiscreteSignedMeasure]:
-    """Positive and negative parts; both returned with positive weights."""
-    pos = mu.weights > 0
-    neg = mu.weights < 0
-    mu_plus = DiscreteSignedMeasure(
-        _readonly(mu.points[pos]), _readonly(mu.weights[pos]), mu.domain
-    )
-    mu_minus = DiscreteSignedMeasure(
-        _readonly(mu.points[neg]), _readonly(-mu.weights[neg]), mu.domain
-    )
-    return mu_plus, mu_minus
-
-
 def negative_part_tv(mu: DiscreteSignedMeasure) -> float:
     # + 0.0 normalises the empty sum's -0.0.
     return float(-np.sum(mu.weights[mu.weights < 0.0]) + 0.0)
-
-
-def integrate(
-    g: BoundedLipschitzFunction | Callable[[np.ndarray], np.ndarray],
-    mu: DiscreteSignedMeasure,
-) -> float:
-    """Pairing <g, mu> = sum_i w_i g(x_i)."""
-    if mu.num_atoms == 0:
-        return 0.0
-    values = np.asarray(g(mu.points) if callable(g) else g.evaluate(mu.points), dtype=float)
-    return float(np.dot(mu.weights, values.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,8 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
         return scenario, OutputOptions(snapshots=snapshots)
     except ScenarioError:
         raise
+    except OSError as exc:  # a csv file named by [initial] or [density]
+        raise ScenarioError(f"cannot read {exc.filename!r} named in {path!r}: {exc.strerror}") from exc
     except (ValueError, KeyError) as exc:
         raise ScenarioError(f"invalid config {path!r}: {exc}") from exc
 

@@ -729,27 +729,3 @@ def solve_maximal(
     traj = _join(pieces)
     traj.reached_horizon = True
     return traj
-
-
-def sample_trajectory(
-    v: VelocityField,
-    times: np.ndarray,
-    measures: Sequence[DiscreteSignedMeasure],
-    t: float,
-) -> DiscreteSignedMeasure:
-    """Interpolate a stored curve at an off-grid time.
-
-    Both bracketing node measures are carried to time t along the flow
-    and blended linearly in their weights, which keeps the interpolant
-    in the particle representation.
-    """
-    if not times[0] <= t <= times[-1]:
-        raise ValueError("t outside the stored range")
-    j = int(np.searchsorted(times, t, side="right") - 1)
-    j = min(j, len(times) - 2)
-    t_lo, t_hi = float(times[j]), float(times[j + 1])
-    theta = (t - t_lo) / (t_hi - t_lo)
-    h = default_step(t_hi - t_lo)
-    fwd = pushforward_measure(v, t_lo, t, measures[j], h)
-    bwd = pushforward_measure(v, t_hi, t, measures[j + 1], h)
-    return linear_combine(1.0 - theta, fwd, theta, bwd)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .flow import advect, advect_with_logjac, default_step, simpson_integral
 from .geometry import TORUS, wrap_torus
-from .grids import GridDensity, interpolate, with_values
+from .grids import GridDensity, interpolate
 from .measures import DiscreteSignedMeasure, _readonly
 from .velocity import VelocityField
 
@@ -71,18 +71,6 @@ def backward_characteristics(
 def transported_values(u: GridDensity, feet: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """Cell values of u pushed along the characteristics (feet, jac)."""
     return (interpolate(u, feet) * jac).reshape(u.values.shape)
-
-
-def pushforward_density(
-    v: VelocityField,
-    s: float,
-    t: float,
-    u: GridDensity,
-    step_h: float | None = None,
-) -> GridDensity:
-    """Semi-Lagrangian transport of a density from time s to time t."""
-    feet, jac = backward_characteristics(v, s, t, u, step_h)
-    return with_values(u, transported_values(u, feet, jac))
 
 
 def conjugate_exponent(p: float) -> float:

@@ -111,6 +111,20 @@ def test_simulate_rejects_density_file_of_wrong_dim(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", ["initial", "density"])
+def test_simulate_missing_csv_exits_2_naming_the_path(tmp_path, capsys, section):
+    missing = tmp_path / "missing.csv"
+    text = BASIC + f"\n[density]\nkind = csv\npath = {missing}\n"
+    if section == "initial":
+        text = BASIC.replace("kind = diracs\nparams = 1.0, 0.0, 0.5, 0.4",
+                             f"kind = csv\npath = {missing}")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_parser_built_once(capsys):
     cli._build_parser.cache_clear()
     assert main(["verify", "--suite", "bogus"]) == 2

@@ -1,16 +1,20 @@
-"""Flat (bounded-Lipschitz) norm: chain solver, sparse LP, dual oracle.
+"""Flat (bounded-Lipschitz) norm: exact routes, sparse LP, dual oracle.
 
-The production path and the oracle are deliberately independent.  1D
-euclidean measures go through an exact chain recursion over consecutive
-atoms.  Everything else is one sparse HiGHS LP on the geometry's edge
-set: the sorted atoms joined in a cycle on the 1D torus (the shorter arc
-between two atoms passes through the atoms in between, so the cycle
-implies every pair), all pairs closer than 2 in 2D and 3D.  The oracle
-solves the dual, a min-cost transshipment over all pairs with a ground
-node, so agreement holds by strong duality.  The tests here hold the
-routes against each other and against closed forms.
+The production path and the oracle are deliberately independent.  A
+measure of one sign has its TV as flat norm.  1D euclidean measures go
+through an exact chain recursion over consecutive atoms, and the 1D torus
+through the same recursion on the cycle cut open at its largest gap,
+whenever the chain optimum meets the closing edge.  Everything else is
+one sparse HiGHS LP on the geometry's edge set: the sorted atoms joined
+in a cycle on the 1D torus (the shorter arc between two atoms passes
+through the atoms in between, so the cycle implies every pair), all
+pairs closer than 2 in 2D and 3D.  The oracle solves the dual, a
+min-cost transshipment over all pairs with a ground node, so agreement
+holds by strong duality.  The tests here hold the routes against each
+other and against closed forms.
 """
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,9 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_positive, random_signed, random_sine_function
-from mvt.flat_metric import STATUS_OPTIMAL, fm_distance, fm_norm, fm_norm_oracle, fm_norms
-from mvt.geometry import EUCLIDEAN, TORUS, pairwise_distances
+import mvt.flat_metric
+from mvt.flat_metric import (
+    STATUS_OPTIMAL,
+    _Block,
+    _fm_chain_1d,
+    _fm_lp,
+    fm_distance,
+    fm_norm,
+    fm_norm_oracle,
+    fm_norms,
+)
+from mvt.geometry import EUCLIDEAN, TORUS, distance, pairwise_distances
 from mvt.measures import (
+    DiscreteSignedMeasure,
     dirac,
     empty_measure,
     linear_combine,
@@ -241,3 +256,130 @@ def test_batched_norms_match_single_solves(seed, kinds):
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
         if mu.num_atoms:
             _certificate_ok(mu, got)
+
+
+# ---------------------------------------------------------------------------
+# Exact routes without an LP: one sign, and the torus cut.
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _counting_milp():
+    """Count the HiGHS calls the flat norm makes inside the block."""
+    calls = []
+    milp = mvt.flat_metric.milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return milp(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mvt.flat_metric, "milp", counted)
+        yield calls
+
+
+def _one_signed(rng, n, dim, domain, sign):
+    mu = random_positive(rng, n, dim, domain=domain)
+    return measure(mu.points, sign * mu.weights, domain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.sampled_from([1.0, -1.0]))
+def test_one_sign_is_bitwise_the_chain_dp(seed, n, sign):
+    mu = _one_signed(np.random.default_rng(seed), n, 1, EUCLIDEAN, sign)
+    value, f = _fm_chain_1d(mu.points[:, 0], np.asarray(mu.weights))
+    res = fm_norm(mu)
+    assert res.value == value
+    np.testing.assert_array_equal(res.optimal_f_values, f)
+    np.testing.assert_array_equal(f, np.full(mu.num_atoms, sign))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+       st.sampled_from([(2, EUCLIDEAN), (3, EUCLIDEAN), (1, TORUS), (2, TORUS)]),
+       st.sampled_from([1.0, -1.0]))
+def test_one_sign_matches_oracle_without_lp(seed, n, kind, sign):
+    dim, domain = kind
+    mu = _one_signed(np.random.default_rng(seed), n, dim, domain, sign)
+    with _counting_milp() as milp_calls:
+        res = fm_norm(mu)
+    assert res.value == pytest.approx(tv_norm(mu), rel=1e-14)
+    assert abs(res.value - fm_norm_oracle(mu)) <= 1e-9
+    _certificate_ok(mu, res)
+    assert not milp_calls
+
+
+def _torus_support(rng, family: str):
+    """Points and mixed-sign weights on the 1D torus, one input family of the cut."""
+    n = int(rng.integers(3, 9))
+    if family == "two_atoms":
+        x = rng.uniform(0.0, 1.0, size=2)
+    elif family == "antipodal":  # two clusters half a turn apart: gaps near 1/2
+        x = np.mod(rng.choice([0.0, 0.5], size=n) + rng.uniform(0.0, 1e-3, size=n)
+                   + rng.uniform(0.0, 1.0), 1.0)
+    elif family == "tied":  # a lattice: every gap exactly 1/n for n a power of two
+        n = int(rng.choice([2, 4, 8]))
+        x = np.arange(n) / n
+    elif family == "binding":  # heavy opposite weights at the two ends of the cut
+        x = np.sort(rng.uniform(0.0, 0.7, size=n))
+        w = rng.uniform(0.05, 0.3, size=n) * rng.choice([-1.0, 1.0], size=n)
+        w[0], w[-1] = 2.0, -2.0
+        return x, w
+    else:
+        x = rng.uniform(0.0, 1.0, size=n)
+    w = rng.uniform(0.1, 2.0, size=x.size) * (-1.0) ** np.arange(x.size)
+    return x, rng.permutation(w)
+
+
+def _cycle_lp(mu):
+    """The torus LP on the sorted atoms joined in a cycle, solved by HiGHS."""
+    order = np.argsort(mu.points[:, 0], kind="stable")
+    nxt = np.roll(order, -1)
+    d = distance(mu.points[order], mu.points[nxt], TORUS)
+    return _fm_lp([_Block(np.asarray(mu.weights), order, nxt, d)])[0]
+
+
+@pytest.mark.parametrize("family", ["uniform", "two_atoms", "antipodal", "tied", "binding"])
+def test_torus_cut_matches_oracle_and_lp(family):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    fallbacks = 0
+    for _ in range(60):
+        x, w = _torus_support(rng, family)
+        mu = measure(x[:, None], w, TORUS)
+        if min(mu.weights) >= 0.0 or max(mu.weights) <= 0.0:
+            continue
+        with _counting_milp() as milp_calls:
+            res = fm_norm(mu)
+        fallbacks += len(milp_calls)
+        assert res.status == STATUS_OPTIMAL
+        assert abs(res.value - fm_norm_oracle(mu)) <= 1e-9
+        assert abs(res.value - _cycle_lp(mu).value) <= 1e-9
+        _certificate_ok(mu, res)
+    if family == "binding":
+        assert fallbacks > 0
+    if family == "two_atoms":  # both cycle edges join the same pair
+        assert fallbacks == 0
+
+
+def test_torus_cut_needs_no_lp_while_the_closing_edge_holds():
+    # the cut is the wrap gap 0.4; the chain over 0, 0.3, 0.6 would set
+    # f(0) - f(0.6) = 0.6, past the closing edge, so the cycle goes to the LP
+    binding = measure([[0.0], [0.3], [0.6]], [1.0, -0.1, -1.0], TORUS)
+    with _counting_milp() as milp_calls:
+        res = fm_norm(binding)
+    assert len(milp_calls) == 1
+    assert res.value == pytest.approx(fm_norm_oracle(binding), abs=1e-9)
+    # the same weights within a short arc: the chain optimum meets the closing edge
+    holding = measure([[0.0], [0.1], [0.2]], [1.0, -0.1, -1.0], TORUS)
+    with _counting_milp() as milp_calls:
+        res = fm_norm(holding)
+    assert not milp_calls
+    assert res.value == pytest.approx(fm_norm_oracle(holding), abs=1e-12)
+    _certificate_ok(holding, res)
+
+
+def test_torus_cut_reads_coordinates_modulo_one():
+    # built directly, a torus measure may hold coordinates outside [0, 1)
+    raw = DiscreteSignedMeasure(np.array([[1.3], [0.2], [-0.5]]), np.array([1.0, -1.0, 0.5]), TORUS)
+    wrapped = measure(raw.points, raw.weights, TORUS)
+    assert fm_norm(raw).value == pytest.approx(fm_norm_oracle(raw), abs=1e-12)
+    assert fm_norm(raw).value == pytest.approx(fm_norm(wrapped).value, abs=1e-15)

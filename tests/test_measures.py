@@ -14,11 +14,8 @@ from mvt.measures import (
     DiscreteSignedMeasure,
     MeasureError,
     coalesce,
-    constant_function,
     dirac,
     empty_measure,
-    integrate,
-    jordan_decomposition,
     linear_combine,
     load_measure,
     measure,
@@ -152,21 +149,6 @@ def test_multiply_by_function():
     gm = multiply_by_function(g, mu)
     assert gm.num_atoms == 1  # weight at x=0 vanishes
     assert gm.weights[0] == pytest.approx(4.0)
-
-
-def test_jordan_decomposition():
-    mu = measure([[0.0], [1.0]], [1.5, -0.5])
-    pos, neg = jordan_decomposition(mu)
-    assert pos.is_positive() and neg.is_positive()
-    diff = linear_combine(1.0, pos, -1.0, neg)
-    assert tv_norm(linear_combine(1.0, diff, -1.0, mu)) == 0.0
-    assert tv_norm(pos) + tv_norm(neg) == pytest.approx(tv_norm(mu))
-
-
-def test_integrate_matches_dot():
-    mu = measure([[0.0], [1.0], [2.0]], [1.0, -2.0, 0.5])
-    g = constant_function(3.0)
-    assert integrate(g, mu) == pytest.approx(3.0 * mu.total_mass)
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -174,13 +174,13 @@ def test_verify_assumptions_raises_when_lipschitz_lhs_solve_fails(monkeypatch):
     real_lp = flat_metric._fm_lp
     calls = []
 
-    def fail_first(mus):
-        calls.append([mu.num_atoms for mu in mus])
+    def fail_first(blocks):
+        calls.append([block.w.size for block in blocks])
         if len(calls) == 1:
             return [flat_metric.FlatNormResult(
-                float("nan"), np.zeros(mu.num_atoms), flat_metric.STATUS_NUMERICS
-            ) for mu in mus]
-        return real_lp(mus)
+                float("nan"), np.zeros(block.w.size), flat_metric.STATUS_NUMERICS
+            ) for block in blocks]
+        return real_lp(blocks)
 
     monkeypatch.setattr(flat_metric, "_fm_lp", fail_first)
     with pytest.raises(flat_metric.FlatNormError):

@@ -30,7 +30,6 @@ from mvt.solver import (
     Trajectory,
     choose_step,
     picard_step,
-    sample_trajectory,
     solve_interval,
     solve_maximal,
 )
@@ -738,27 +737,12 @@ def test_maximal_rejects_bad_horizon():
         solve_maximal(ZERO, zero_field(1), dirac(0.0), 1.0, 1.0, SolverConfig())
 
 
-def test_sample_trajectory_nodes_and_midpoints():
-    spec = builtin_reaction("linear_rate", [2.0])
-    v = zero_field(1)
-    traj = solve_maximal(
-        spec, v, dirac(0.2, 1.5), 0.0, 0.5, SolverConfig(quad_nodes=65)
-    )
-    k = 10
-    at_node = sample_trajectory(v, traj.times, traj.measures, float(traj.times[k]))
-    assert fm_distance(at_node, traj.measures[k]) <= 1e-12
-    t_mid = 0.5 * (traj.times[k] + traj.times[k + 1])
-    mid = sample_trajectory(v, traj.times, traj.measures, float(t_mid))
-    exact = 1.5 * np.exp(2.0 * t_mid)
-    assert mid.total_mass == pytest.approx(exact, rel=1e-4)
-    with pytest.raises(ValueError):
-        sample_trajectory(v, traj.times, traj.measures, 0.6)
-
-
 def test_curve_distance_names_the_node_whose_lp_fails(monkeypatch):
     """A failed batch is re-solved block by block; the failing block's node is named."""
     rng = np.random.default_rng(5)
-    new = [measure(rng.uniform(-1.0, 1.0, size=(n, 2)), rng.uniform(0.5, 1.0, size=n))
+    # mixed signs, so that no block has the one-sign shortcut and each reaches the LP
+    new = [measure(rng.uniform(-1.0, 1.0, size=(n, 2)),
+                   rng.uniform(0.5, 1.0, size=n) * (-1.0) ** np.arange(n))
            for n in (3, 3, 5, 3)]
     old = [empty_measure(2)] * len(new)
     milp, sizes = mvt.flat_metric.milp, []
