@@ -69,6 +69,41 @@ def _steps(t_from: float, t_to: float, step_h: float) -> list[float]:
     return steps
 
 
+def _rk4(
+    v: VelocityField,
+    t_from: float,
+    t_to: float,
+    points: np.ndarray,
+    step_h: float,
+    domain: str,
+    with_logjac: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The RK4 loop of ``advect``, integrating div v too only ``with_logjac``."""
+    validate_domain(domain)
+    x = np.array(points, dtype=float)
+    logjac = np.zeros(x.shape[0]) if with_logjac else None
+    if x.size == 0:
+        return x, logjac
+    t = t_from
+    for dt in _steps(t_from, t_to, step_h):
+        k1 = _eval_field(v, t, x, domain)
+        x2 = x + 0.5 * dt * k1
+        k2 = _eval_field(v, t + 0.5 * dt, x2, domain)
+        x3 = x + 0.5 * dt * k2
+        k3 = _eval_field(v, t + 0.5 * dt, x3, domain)
+        x4 = x + dt * k3
+        k4 = _eval_field(v, t + dt, x4, domain)
+        if with_logjac:
+            j1, j2, j3, j4 = (divergence_of(v, s, y, domain) for s, y in (
+                (t, x), (t + 0.5 * dt, x2), (t + 0.5 * dt, x3), (t + dt, x4)))
+            logjac = logjac + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += dt
+        if domain == TORUS:
+            x = wrap_torus(x)
+    return x, logjac
+
+
 def advect(
     v: VelocityField,
     t_from: float,
@@ -78,21 +113,7 @@ def advect(
     domain: str = EUCLIDEAN,
 ) -> np.ndarray:
     """RK4 image of the points under the flow from t_from to t_to."""
-    validate_domain(domain)
-    x = np.array(points, dtype=float)
-    if x.size == 0:
-        return x
-    t = t_from
-    for dt in _steps(t_from, t_to, step_h):
-        k1 = _eval_field(v, t, x, domain)
-        k2 = _eval_field(v, t + 0.5 * dt, x + 0.5 * dt * k1, domain)
-        k3 = _eval_field(v, t + 0.5 * dt, x + 0.5 * dt * k2, domain)
-        k4 = _eval_field(v, t + dt, x + dt * k3, domain)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-        if domain == TORUS:
-            x = wrap_torus(x)
-    return x
+    return _rk4(v, t_from, t_to, points, step_h, domain, False)[0]
 
 
 def advect_with_logjac(
@@ -109,30 +130,7 @@ def advect_with_logjac(
     point (negated automatically when integrating backward, so that it
     is always the log-Jacobian of the map actually computed).
     """
-    validate_domain(domain)
-    x = np.array(points, dtype=float)
-    logjac = np.zeros(x.shape[0])
-    if x.size == 0:
-        return x, logjac
-    t = t_from
-    for dt in _steps(t_from, t_to, step_h):
-        k1 = _eval_field(v, t, x, domain)
-        j1 = divergence_of(v, t, x, domain)
-        x2 = x + 0.5 * dt * k1
-        k2 = _eval_field(v, t + 0.5 * dt, x2, domain)
-        j2 = divergence_of(v, t + 0.5 * dt, x2, domain)
-        x3 = x + 0.5 * dt * k2
-        k3 = _eval_field(v, t + 0.5 * dt, x3, domain)
-        j3 = divergence_of(v, t + 0.5 * dt, x3, domain)
-        x4 = x + dt * k3
-        k4 = _eval_field(v, t + dt, x4, domain)
-        j4 = divergence_of(v, t + dt, x4, domain)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        logjac = logjac + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-        t += dt
-        if domain == TORUS:
-            x = wrap_torus(x)
-    return x, logjac
+    return _rk4(v, t_from, t_to, points, step_h, domain, True)
 
 
 def simpson_integral(fn: Callable[[float], float], s: float, t: float, panels: int = 128) -> float:
@@ -150,44 +148,24 @@ def simpson_integral(fn: Callable[[float], float], s: float, t: float, panels: i
     return float(h / 3.0 * np.dot(weights, values))
 
 
-def lipschitz_bound(v: VelocityField, s: float, t: float, panels: int = 128) -> float:
+def lipschitz_bound(v: VelocityField, s: float, t: float) -> float:
     """exp of the integral of the field's Lipschitz rate over [s, t]."""
     if t < s:
         raise ValueError("need s <= t")
-    return float(np.exp(simpson_integral(v.lip_rate, s, t, panels)))
-
-
-def divergence_band_integrals(v: VelocityField, s: float, t: float, panels: int = 128) -> tuple[float, float]:
-    """Integrals of the neg-part and pos-part divergence sup rates."""
-    if v.div_neg_rate is None or v.div_pos_rate is None:
-        raise ValueError(f"field {v.name!r} lacks divergence rate bounds")
-    neg = simpson_integral(v.div_neg_rate, s, t, panels)
-    pos = simpson_integral(v.div_pos_rate, s, t, panels)
-    return neg, pos
+    return float(np.exp(simpson_integral(v.lip_rate, s, t)))
 
 
 def jacobian_band(v: VelocityField, s: float, t: float) -> tuple[float, float]:
     """Guaranteed enclosure [exp(-int neg), exp(+int pos)] for det of the flow."""
-    neg, pos = divergence_band_integrals(v, s, t)
+    if v.div_neg_rate is None or v.div_pos_rate is None:
+        raise ValueError(f"field {v.name!r} lacks divergence rate bounds")
+    neg = simpson_integral(v.div_neg_rate, s, t)
+    pos = simpson_integral(v.div_pos_rate, s, t)
     return float(np.exp(-neg)), float(np.exp(pos))
 
 
-def jacobian_det(
-    v: VelocityField,
-    s: float,
-    t: float,
-    x0: np.ndarray,
-    step_h: float | None = None,
-    domain: str = EUCLIDEAN,
-) -> float:
-    h = step_h if step_h is not None else default_step(t - s)
+def jacobian_det(v: VelocityField, s: float, t: float, x0: np.ndarray) -> float:
+    """det of the Euclidean flow's Jacobian at x0, by RK4 at ``default_step``."""
     pt = np.atleast_1d(np.asarray(x0, dtype=float)).reshape(1, -1)
-    _, logjac = advect_with_logjac(v, s, t, pt, h, domain)
+    _, logjac = advect_with_logjac(v, s, t, pt, default_step(t - s))
     return float(np.exp(logjac[0]))
-
-
-def flow_displacement_bound(v: VelocityField, t0: float, tau: float) -> float:
-    """Sup over [t0, t0 + tau] of the certified speed bound."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return v.sup_bound(t0, t0 + tau)

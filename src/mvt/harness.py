@@ -19,7 +19,7 @@ from .geometry import EUCLIDEAN
 from .grids import gaussian_density, lp_norm, quantize
 from .measures import dirac, measure, negative_part_tv, tv_norm
 from .scenarios import Scenario, ScenarioError, bundled_scenario
-from .solver import SolverConfig, picard_step, solve_maximal
+from .solver import picard_step, solve_maximal
 from .transport import lp_growth_factor
 
 
@@ -52,7 +52,7 @@ class CheckReport:
 # Positivity.
 # ---------------------------------------------------------------------------
 
-def check_positivity(scenario: Scenario, config: SolverConfig | None = None) -> CheckReport:
+def check_positivity(scenario: Scenario) -> CheckReport:
     """Positive initial data must stay positive under auto dilation.
 
     Also runs a negative control: a few undilated Picard sweeps on one
@@ -62,7 +62,7 @@ def check_positivity(scenario: Scenario, config: SolverConfig | None = None) -> 
     """
     if not scenario.initial.is_positive():
         raise ScenarioError(f"scenario {scenario.name!r} has non-positive initial data")
-    cfg = replace(config if config is not None else scenario.solver, dilation_mode="auto")
+    cfg = replace(scenario.solver, dilation_mode="auto")
     traj = solve_maximal(
         scenario.reaction,
         scenario.velocity,
@@ -102,12 +102,9 @@ def check_positivity(scenario: Scenario, config: SolverConfig | None = None) -> 
 # L^p propagation.
 # ---------------------------------------------------------------------------
 
-def check_lp_invariance(
-    scenario: Scenario,
-    p: float | None = None,
-    config: SolverConfig | None = None,
-) -> CheckReport:
-    """Density norms must stay under the windowed constructive bound.
+def check_lp_invariance(scenario: Scenario) -> CheckReport:
+    """Density norms, in the density's own p, must stay under the windowed
+    constructive bound.
 
     Within a window starting at t' the norm obeys
     ||phi_t||_p <= 2 * D^{v,p}(t', t) * ||phi_{t'}||_p, valid while the
@@ -119,16 +116,14 @@ def check_lp_invariance(
     if scenario.density is None:
         raise ScenarioError(f"scenario {scenario.name!r} tracks no density")
     u0 = scenario.density
-    if p is None:
-        p = u0.p
-    cfg = config if config is not None else scenario.solver
+    p = u0.p
     traj = solve_maximal(
         scenario.reaction,
         scenario.velocity,
         scenario.initial,
         scenario.t0,
         scenario.horizon,
-        cfg,
+        scenario.solver,
         initial_density=u0,
     )
     times = traj.times
@@ -257,19 +252,14 @@ def weak_limit_experiment(
 # Continuous dependence on the initial datum.
 # ---------------------------------------------------------------------------
 
-def check_continuous_dependence(
-    scenario: Scenario,
-    nu1,
-    nu2,
-    config: SolverConfig | None = None,
-) -> CheckReport:
+def check_continuous_dependence(scenario: Scenario, nu1, nu2) -> CheckReport:
     """Flat-distance ratio of two solutions versus the Gronwall bound.
 
     bound(t) = L^v(t0, t) * exp(l_f(R) * L^v(t0, T) * (t - t0)), with R
     covering both trajectories' invariant balls.  Tolerance is a 10%
     multiplicative allowance for quadrature.
     """
-    cfg = config if config is not None else scenario.solver
+    cfg = scenario.solver
     spec = scenario.reaction
     v = scenario.velocity
     t0, T = scenario.t0, scenario.horizon

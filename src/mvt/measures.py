@@ -81,10 +81,11 @@ class DiscreteSignedMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def is_positive(self, tol: float = WEIGHT_EPS) -> bool:
+    def is_positive(self) -> bool:
+        """No weight below -``WEIGHT_EPS``."""
         if self.num_atoms == 0:
             return True
-        return bool(np.min(self.weights) >= -tol)
+        return bool(np.min(self.weights) >= -WEIGHT_EPS)
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,6 @@ def constant_function(value: float) -> BoundedLipschitzFunction:
     )
 
 
-def _as_point_array(points: Sequence | np.ndarray, dim_hint: int | None = None) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        # Either a list of 1d coordinates or a single point; treat as column.
-        arr = arr.reshape(-1, 1) if dim_hint in (None, 1) else arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise MeasureError(f"points must form a (n, d) array, got shape {arr.shape}")
-    return arr
-
-
 def measure(
     points: Sequence | np.ndarray,
     weights: Sequence | np.ndarray,
@@ -138,7 +129,11 @@ def measure(
 ) -> DiscreteSignedMeasure:
     """Build a canonical measure from raw atoms (coalesced, pruned, sorted)."""
     validate_domain(domain)
-    pts = _as_point_array(points)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)  # a list of 1D coordinates
+    if pts.ndim != 2:
+        raise MeasureError(f"points must form a (n, d) array, got shape {pts.shape}")
     wts = np.asarray(weights, dtype=float).reshape(-1)
     if pts.shape[0] != wts.shape[0]:
         raise MeasureError(
@@ -195,8 +190,8 @@ def _merged(pts: np.ndarray, w: np.ndarray, sizes, domain: str, total):
     return pts[:, 0] + moment / np.where(aw > 0.0, aw, sizes)[:, None], total(w)
 
 
-def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float):
-    """One clustering pass: merge connected components of the eps-graph.
+def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str):
+    """One clustering pass: merge connected components of the ``COALESCE_EPS``-graph.
 
     Components of 2-7 atoms merge at once, as rows padded to 7 members
     by the lowest at weight 0.0, which adds nothing to a left-to-right
@@ -211,8 +206,8 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float
         tree = cKDTree(wrap_torus(points), boxsize=1.0)
     else:
         tree = cKDTree(points)
-    pairs = tree.query_pairs(2.0 * eps, output_type="ndarray")
-    pairs = pairs[distance(points[pairs[:, 0]], points[pairs[:, 1]], domain) <= eps]
+    pairs = tree.query_pairs(2.0 * COALESCE_EPS, output_type="ndarray")
+    pairs = pairs[distance(points[pairs[:, 0]], points[pairs[:, 1]], domain) <= COALESCE_EPS]
     if not pairs.shape[0]:
         return points, weights, False
     graph = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
@@ -236,8 +231,8 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str, eps: float
     return new_pts, new_wts, True
 
 
-def _separated(points: np.ndarray, domain: str, eps: float) -> bool:
-    """True when the first coordinates alone keep every pair beyond ``eps``.
+def _separated(points: np.ndarray, domain: str) -> bool:
+    """True when the first coordinates alone keep every pair beyond ``COALESCE_EPS``.
 
     Distance is at least the first-coordinate gap, so ``_merge_pass``
     then finds no pair.  The test is sufficient, not necessary: tied
@@ -247,13 +242,13 @@ def _separated(points: np.ndarray, domain: str, eps: float) -> bool:
     does.
     """
     x0 = np.sort(points[:, 0])
-    if np.any(np.diff(x0) <= eps):
+    if np.any(np.diff(x0) <= COALESCE_EPS):
         return False
     if domain != TORUS:
         return True
     if not np.all((points >= 0.0) & (points < 1.0)):
         return False
-    return x0.shape[0] < 2 or bool(abs(coordinate_deltas(x0[0], x0[-1], TORUS)) > eps)
+    return x0.shape[0] < 2 or bool(abs(coordinate_deltas(x0[0], x0[-1], TORUS)) > COALESCE_EPS)
 
 
 def _pruned_canonical(
@@ -267,20 +262,20 @@ def _pruned_canonical(
     return DiscreteSignedMeasure(_readonly(pts), _readonly(wts), domain)
 
 
-def coalesce(mu: DiscreteSignedMeasure, eps: float = COALESCE_EPS) -> DiscreteSignedMeasure:
-    """Merge atoms within ``eps`` and prune near-zero weights.
+def coalesce(mu: DiscreteSignedMeasure) -> DiscreteSignedMeasure:
+    """Merge atoms within ``COALESCE_EPS`` and prune weights below ``WEIGHT_EPS``.
 
     Merged atoms sum their weights and sit at the weight-magnitude
     weighted mean position.  The pass repeats until no pair is within
-    ``eps``, so the operation is idempotent.  A support that
+    ``COALESCE_EPS``, so the operation is idempotent.  A support that
     ``_separated`` clears skips the pass, which could merge nothing.
     Output atoms are sorted lexicographically by coordinates.
     """
     pts = np.asarray(mu.points, dtype=float)
     wts = np.asarray(mu.weights, dtype=float)
-    changed = pts.shape[0] > 1 and not _separated(pts, mu.domain, eps)
+    changed = pts.shape[0] > 1 and not _separated(pts, mu.domain)
     while changed and pts.shape[0] > 1:
-        pts, wts, changed = _merge_pass(pts, wts, mu.domain, eps)
+        pts, wts, changed = _merge_pass(pts, wts, mu.domain)
     return _pruned_canonical(pts, wts, mu.domain)
 
 
@@ -292,7 +287,7 @@ def tv_norm(mu: DiscreteSignedMeasure) -> float:
 def _check_compatible(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> None:
     if mu.domain != nu.domain:
         raise MeasureError(f"domain mismatch: {mu.domain} vs {nu.domain}")
-    if mu.num_atoms and nu.num_atoms and mu.dim != nu.dim:
+    if mu.dim != nu.dim:
         raise MeasureError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
 
 
@@ -313,16 +308,15 @@ def linear_combine(
     if (
         mu.num_atoms
         and np.array_equal(mu.points, nu.points)
-        and _separated(mu.points, mu.domain, COALESCE_EPS)
+        and _separated(mu.points, mu.domain)
     ):
         return _pruned_canonical(
             mu.points + 0.0, a * mu.weights + b * nu.weights, mu.domain
         )
-    dim = mu.dim if mu.num_atoms else nu.dim
-    pts = np.concatenate([mu.points, nu.points]) if nu.num_atoms or mu.num_atoms else mu.points
+    pts = np.concatenate([mu.points, nu.points])
     wts = np.concatenate([a * mu.weights, b * nu.weights])
     if pts.shape[0] == 0:
-        return empty_measure(dim if dim else 1, mu.domain)
+        return empty_measure(mu.dim or 1, mu.domain)
     return coalesce(DiscreteSignedMeasure(_readonly(pts), _readonly(wts), mu.domain))
 
 

@@ -237,7 +237,7 @@ def _parse_density(section, domain: str, dim: int) -> GridDensity:
     raise ScenarioError(f"unknown density kind {kind!r}")
 
 
-def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOptions]:
+def parse_scenario(path: str) -> tuple[Scenario, OutputOptions]:
     """Parse a scenario config file; raises ScenarioError on any defect."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -272,9 +272,7 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
         if horizon_raw is None:
             raise ScenarioError("[scenario] needs a horizon")
         horizon = float(horizon_raw)
-        seed_raw = _get(sc, "seed")
-        if seed_raw is not None:
-            seed = int(seed_raw)
+        seed = int(_get(sc, "seed") or 42)
 
         fsec = parser["field"]
         fname = _get(fsec, "name")
@@ -301,6 +299,11 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
             )
             domain_volume = float(np.prod(widths))
         reaction = builtin_reaction(rname, rparams, domain_volume=domain_volume)
+        # Source params end in the centre: sigma, x1..xd or sigma, width, x1..xd.
+        lead = {"dirac_source": 1, "smoothed_source": 2}.get(rname)
+        if lead is not None and len(rparams) - lead != dim:
+            raise ScenarioError(f"[reaction] params: the {rname} centre has "
+                                f"{len(rparams) - lead} coordinates, scenario says dim {dim}")
 
         isec = parser["initial"]
         kind = _get(isec, "kind")
@@ -316,7 +319,7 @@ def parse_scenario(path: str, *, seed: int = 42) -> tuple[Scenario, OutputOption
             density=density,
             seed=seed,
         )
-        if initial.num_atoms and initial.dim != dim:
+        if initial.dim != dim:
             raise ScenarioError(
                 f"initial measure has dim {initial.dim}, scenario says {dim}"
             )

@@ -45,7 +45,6 @@ from .flat_metric import STATUS_OPTIMAL, fm_norm, fm_norms
 from .flow import default_step, lipschitz_bound
 from .grids import GridDensity, lp_norm, with_values
 from .measures import (
-    COALESCE_EPS,
     WEIGHT_EPS,
     DiscreteSignedMeasure,
     _function_values,
@@ -66,6 +65,9 @@ _MAX_DILATION_PARTS = 100000
 _MAX_INTERVALS = 200000
 _TV_BLOWUP_FACTOR = 1e6
 _LP_BLOWUP_FACTOR = 1e6
+# Every interval's Picard factor is kept at or below this; the continuum
+# argument only needs < 1, and the margin absorbs quadrature error.
+_CONTRACTION = 0.5
 
 
 class SolverError(RuntimeError):
@@ -88,8 +90,7 @@ class SolverConfig:
 
     delta is the total-variation cushion: each interval is sized so the
     iterates stay inside the ball of radius ||nu||_TV + delta.  The
-    contraction factor is kept at or below 1/2 (the continuum argument
-    only needs < 1; the margin absorbs quadrature error).
+    contraction factor is no knob: it is the module's ``_CONTRACTION``.
     """
 
     delta: float = 1.0
@@ -139,9 +140,7 @@ class Trajectory:
     contraction_ratio: np.ndarray
     lp_norm: np.ndarray
     blown_up: bool = False
-    blowup_time: float | None = None
     density_blown_up: bool = False
-    density_blowup_time: float | None = None
     reached_horizon: bool = False
 
     def __post_init__(self) -> None:
@@ -163,6 +162,16 @@ class Trajectory:
     def final_measure(self) -> DiscreteSignedMeasure:
         return self.measures[-1]
 
+    @property
+    def blowup_time(self) -> float | None:
+        """Time of the node whose TV crossed the threshold, or None."""
+        return self.final_time if self.blown_up else None
+
+    @property
+    def density_blowup_time(self) -> float | None:
+        """Time of the node whose density L^p norm crossed the threshold, or None."""
+        return self.final_time if self.density_blown_up else None
+
 
 # ---------------------------------------------------------------------------
 # Step and dilation selection.
@@ -176,13 +185,12 @@ def choose_step(
     velocity: VelocityField | None = None,
     t0: float = 0.0,
     cap: float = math.inf,
-    contraction_factor: float = 0.5,
 ) -> float:
     """Interval length keeping iterates in the TV ball and contracting.
 
     Returns min of delta / c_f(R + delta) (ball invariance), the largest
-    tau with l_f(R + delta) * L^v(t0, t0 + tau) * tau <= 1/2 (contraction
-    with a safety factor), and ``cap``.  With no velocity the flow
+    tau with l_f(R + delta) * L^v(t0, t0 + tau) * tau <= ``_CONTRACTION``
+    (contraction with a safety factor), and ``cap``.  With no velocity the flow
     Lipschitz bound L^v is 1.
     """
     if R < 0 or delta <= 0:
@@ -197,7 +205,7 @@ def choose_step(
     if lf > 0:
         # L^v grows with tau, so iterate the decreasing map
         # tau -> factor / (lf * L^v(tau)); it converges monotonically.
-        bound = contraction_factor / lf
+        bound = _CONTRACTION / lf
         tau = min(tau, bound)
         if velocity is not None and math.isfinite(tau):
             for _ in range(30):
@@ -212,8 +220,8 @@ def choose_step(
     return tau
 
 
-def _dilation_parts(lf: float, c: float, l_v: float, tau: float, limit: float) -> int:
-    """Smallest N with (lf + c) * l_v * (1 - e^{-c tau / N}) / c < limit."""
+def _dilation_parts(lf: float, c: float, l_v: float, tau: float) -> int:
+    """Smallest N with (lf + c) * l_v * (1 - e^{-c tau / N}) / c < ``_CONTRACTION``."""
 
     def factor(parts: int) -> float:
         if c == 0.0:
@@ -221,7 +229,7 @@ def _dilation_parts(lf: float, c: float, l_v: float, tau: float, limit: float) -
         return (lf + c) * l_v * (1.0 - math.exp(-c * tau / parts)) / c
 
     parts = 1
-    while factor(parts) >= limit:
+    while factor(parts) >= _CONTRACTION:
         parts += 1
         if parts > _MAX_DILATION_PARTS:
             raise SolverError("dilation partition does not terminate")
@@ -308,7 +316,7 @@ def _fixed_supports(
     """
     nu, points = curve[0], [mu.points for mu in curve]
     if spec.production is not None or not nu.num_atoms or not all(
-        np.all(p[1:, 0] > p[:-1, 0]) and _separated(p, nu.domain, COALESCE_EPS) for p in points
+        np.all(p[1:, 0] > p[:-1, 0]) and _separated(p, nu.domain) for p in points
     ):
         return None
     swept = points
@@ -612,10 +620,7 @@ def _dilation_shift(
         c = config.dilation_c
     else:
         c = float(spec.c_pos(2.0 * ball, t0 + tau))
-    # Partition until the dilated factor is at or below the same 1/2
-    # safety margin used by choose_step.
-    parts = _dilation_parts(float(spec.l_f(2.0 * ball)), c, lv, tau, 0.5)
-    return c, parts
+    return c, _dilation_parts(float(spec.l_f(2.0 * ball)), c, lv, tau)
 
 
 def solve_interval(
@@ -707,12 +712,8 @@ def solve_maximal(
                     over_lp[0] if over_lp.size else np.inf,
                 ))
                 traj = _join(pieces, stop=stored + idx + 1)
-                if over_tv.size and over_tv[0] == idx:
-                    traj.blown_up = True
-                    traj.blowup_time = traj.final_time
-                if over_lp.size and over_lp[0] == idx:
-                    traj.density_blown_up = True
-                    traj.density_blowup_time = traj.final_time
+                traj.blown_up = bool(over_tv.size and over_tv[0] == idx)
+                traj.density_blown_up = bool(over_lp.size and over_lp[0] == idx)
                 return traj
             stored += len(seg.times) - 1
             cur_mu = seg.final_measure

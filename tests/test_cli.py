@@ -125,6 +125,18 @@ def test_simulate_missing_csv_exits_2_naming_the_path(tmp_path, capsys, section)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reaction", ["dirac_source\nparams = 0.5, 0.1, 0.2",
+                                      "smoothed_source\nparams = 0.5, 0.1, 0.2, 0.3"],
+                         ids=["dirac_source", "smoothed_source"])
+def test_simulate_source_centre_of_wrong_dim_exits_2(tmp_path, capsys, reaction):
+    text = BASIC.replace("linear_rate\nparams = 1.0", reaction)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[reaction] params" in err and "dim 1" in err
+    assert not out.exists()
+
+
 def test_parser_built_once(capsys):
     cli._build_parser.cache_clear()
     assert main(["verify", "--suite", "bogus"]) == 2
@@ -242,6 +254,16 @@ def test_metric_error_paths(tmp_path, capsys):
     assert main(["metric", str(a), str(tmp_path / "missing.csv")]) == 2
     assert main(["metric", str(a), str(c)]) == 2
     assert "dimension mismatch" in capsys.readouterr().err
+
+
+def test_metric_empty_side_of_other_dim_exits_2(tmp_path, capsys):
+    cancelled = tmp_path / "cancelled.csv"  # its atoms cancel: an empty 1D measure
+    cancelled.write_text("x1,weight\n0.1,1.0\n0.1,-1.0\n")
+    plane = tmp_path / "plane.csv"
+    save_measure(dirac([0.0, 0.0], 1.0), str(plane))
+    assert main(["metric", str(cancelled), str(plane)]) == 2
+    err = capsys.readouterr().err
+    assert err == "mvt metric: dimension mismatch: 1 vs 2\n"
 
 
 def _non_optimal_fm_norm(mu):

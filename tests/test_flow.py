@@ -9,7 +9,6 @@ from mvt.flow import (
     advect_with_logjac,
     default_step,
     divergence_of,
-    flow_displacement_bound,
     jacobian_band,
     jacobian_det,
     lipschitz_bound,
@@ -266,15 +265,41 @@ def test_divergence_finite_difference_fallback():
     np.testing.assert_allclose(fd, 1.2, atol=1e-6)
 
 
+def _periodic_field(dim: int) -> VelocityField:
+    """A hand-built nonlinear field with no divergence callable or flow map."""
+    return VelocityField(
+        eval=lambda t, x: (1.0 + t) * np.sin(2.0 * np.pi * x[:, ::-1]) + 0.1 * np.cos(x),
+        sup_rate=lambda t: 2.0 + t,
+        lip_rate=lambda t: 2.0 * np.pi * (1.0 + t) + 0.1,
+        dim=dim,
+    )
+
+
+@pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
+@pytest.mark.parametrize("field", [
+    _periodic_field(1),
+    _periodic_field(2),
+    dataclasses.replace(builtin_field("rotation2d", [1.3, 0.2, -0.1], 2), flow_map=None),
+    dataclasses.replace(builtin_field("time_oscillating", [0.8, 0.7, 0.3, -0.4], 2), flow_map=None),
+], ids=["handbuilt-1d", "handbuilt-2d", "rotation2d", "time_oscillating"])
+def test_advect_is_the_image_of_advect_with_logjac_bitwise(field, domain):
+    # one RK4 loop serves both; advect skips only the divergence stages
+    x0 = np.random.default_rng(field.dim).uniform(0.0, 1.0, size=(7, field.dim))
+    for t_from, t_to in ((0.1, 0.83), (0.83, 0.1)):
+        image = advect(field, t_from, t_to, x0, 0.03, domain)
+        via_logjac, _ = advect_with_logjac(field, t_from, t_to, x0, 0.03, domain)
+        assert image.tobytes() == via_logjac.tobytes()
+
+
 def test_displacement_bound_is_speed_sup():
     v = builtin_field("time_oscillating", [2.0, 1.0, 1.0], 1)
-    assert flow_displacement_bound(v, 0.0, 1.0) == pytest.approx(2.0)
+    assert v.sup_bound(0.0, 1.0) == pytest.approx(2.0)
     rng = np.random.default_rng(1)
     x0 = rng.uniform(-1.0, 1.0, size=(50, 1))
     for t in (0.3, 0.7, 1.0):
         moved = advect(v, 0.0, t, x0, 0.01)
         disp = float(np.max(np.abs(moved - x0)))
-        assert disp <= flow_displacement_bound(v, 0.0, t) * t * 1.001
+        assert disp <= v.sup_bound(0.0, t) * t * 1.001
 
 
 def test_oscillating_sup_bound_holds_between_samples():
@@ -282,7 +307,6 @@ def test_oscillating_sup_bound_holds_between_samples():
     v = builtin_field("time_oscillating", [1.0, 0.123, 1.0], 1)
     assert abs(v(0.03075, np.zeros((1, 1)))[0, 0]) == pytest.approx(1.0)
     assert v.sup_bound(0.0, 1.0) >= 1.0
-    assert flow_displacement_bound(v, 0.0, 1.0) >= 1.0
 
 
 def test_simpson_exact_for_cubics():

@@ -2,7 +2,7 @@
 
 No linter ships with the project, so these AST scans are the check.
 Every name a module imports is referenced somewhere in that module; this
-covers the package and the scripts.  ``from __future__`` imports bind
+covers the package, the scripts and the tests.  ``from __future__`` imports bind
 no usable name and are skipped; the lazy export table of
 ``mvt/__init__.py`` maps names to module strings and imports nothing.
 Every module-level private function and class of the package is
@@ -18,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "mvt").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 REFERRERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -38,7 +39,7 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     assert len(SOURCES) > 10
-    unused = [entry for path in SOURCES for entry in _unused_imports(path)]
+    unused = [entry for path in SOURCES + TESTS for entry in _unused_imports(path)]
     assert not unused, "imported but never referenced:\n" + "\n".join(unused)
 
 

@@ -95,6 +95,17 @@ def test_linear_combine_domain_mismatch():
         linear_combine(1.0, dirac(0.0), 1.0, dirac(0.0, domain=TORUS))
 
 
+def test_linear_combine_dimension_mismatch_with_an_empty_side():
+    # an empty measure still has d columns, so its dimension is compared too
+    for mu, nu, dims in [
+        (empty_measure(1), dirac([0.0, 0.0]), "1 vs 2"),
+        (dirac([0.0, 0.0]), empty_measure(1), "2 vs 1"),
+        (empty_measure(3), empty_measure(2), "3 vs 2"),
+    ]:
+        with pytest.raises(MeasureError, match=f"dimension mismatch: {dims}"):
+            linear_combine(1.0, mu, -1.0, nu)
+
+
 def test_coalesce_idempotent_and_weighted_mean():
     mu = measure([[0.0], [1e-14], [1.0]], [1.0, 3.0, 1.0])
     assert mu.num_atoms == 2
@@ -415,7 +426,7 @@ def test_merge_pass_bitwise_with_components_of_4_to_9(seed, dim, domain):
         w += list(w_cluster)
     order = rng.permutation(len(rows))
     pts, w = np.array(rows)[order], np.array(w)[order]
-    got = mvt.measures._merge_pass(pts, w, domain, eps)
+    got = mvt.measures._merge_pass(pts, w, domain)
     want = _merge_pass_by_loop(pts, w, domain, eps)
     assert got[2] is want[2] is True
     assert got[0].tobytes() == want[0].tobytes()

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_positive, random_signed
+from helpers import random_positive
 from mvt import flat_metric
 from mvt.flat_metric import fm_norm
-from mvt.geometry import EUCLIDEAN
 from mvt.grids import lp_norm, quantize, uniform_density
 from mvt.measures import (
     dirac,

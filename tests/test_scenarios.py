@@ -5,7 +5,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mvt.geometry import TORUS
 from mvt.grids import gaussian_density, save_density
 from mvt.measures import save_measure, dirac
 from mvt.scenarios import (
@@ -322,6 +321,15 @@ def test_density_csv_of_wrong_dim_rejected(tmp_path):
         parse_scenario(_write(tmp_path, text))
     scenario, _ = parse_scenario(_write(tmp_path, MINIMAL + f"\n[density]\nkind = csv\npath = {path}\n"))
     assert scenario.density.dim == 1
+
+
+def test_empty_initial_csv_of_wrong_dim_rejected(tmp_path):
+    path = tmp_path / "cancelled.csv"  # its atoms cancel: an empty 1D measure
+    path.write_text("x1,weight\n0.1,1.0\n0.1,-1.0\n")
+    text = MINIMAL.replace("dim = 1", "dim = 2").replace(
+        "kind = diracs\nparams = 1.0, 0.0", f"kind = csv\npath = {path}")
+    with pytest.raises(ScenarioError, match="initial measure has dim 1, scenario says 2"):
+        parse_scenario(_write(tmp_path, text))
 
 
 def test_density_grid_initial_quantizes(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import fail_fixed_point_on_call
 import mvt.flat_metric
 from mvt import solver
-from mvt.flat_metric import fm_distance, fm_norm
+from mvt.flat_metric import fm_distance
 from mvt.flow import advect, default_step
 from mvt.geometry import TORUS
 from mvt.grids import lp_norm, quantize, uniform_density
@@ -19,7 +19,6 @@ from mvt.measures import (
     empty_measure,
     linear_combine,
     measure,
-    negative_part_tv,
     tv_norm,
 )
 from mvt.reactions import builtin_reaction, eval_reaction

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_positive, random_signed
-from mvt.flat_metric import fm_distance, fm_norm
+from mvt.flat_metric import fm_norm
 from mvt.flow import (
     advect,
     advect_with_logjac,
     default_step,
-    flow_displacement_bound,
     lipschitz_bound,
 )
 from mvt.grids import gaussian_density, interpolate, lp_norm, mass, uniform_density, with_values
@@ -98,7 +97,7 @@ def test_time_lipschitz_of_motions(rng):
     # fm(P_{t0,t} mu - P_{t0,s} mu) <= C'_I ||mu||_TV |t - s|
     v = builtin_field("rotation2d", [1.0, 0.0, 0.0, 2.0], 2)  # radius cert 2
     mu = random_signed(rng, 5, 2, span=1.0)
-    rate = flow_displacement_bound(v, 0.0, 1.0)
+    rate = v.sup_bound(0.0, 1.0)
     times = np.linspace(0.0, 1.0, 6)
     for s in times:
         at_s = pushforward_measure(v, 0.0, float(s), mu)
