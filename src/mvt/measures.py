@@ -139,8 +139,7 @@ def measure(
         raise MeasureError(
             f"{pts.shape[0]} points but {wts.shape[0]} weights"
         )
-    if pts.shape[0] > 0:
-        validate_dim(pts.shape[1])
+    validate_dim(pts.shape[1])
     if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(wts)):
         raise MeasureError("points and weights must be finite")
     if domain == TORUS and pts.size:
@@ -316,7 +315,7 @@ def linear_combine(
     pts = np.concatenate([mu.points, nu.points])
     wts = np.concatenate([a * mu.weights, b * nu.weights])
     if pts.shape[0] == 0:
-        return empty_measure(mu.dim or 1, mu.domain)
+        return empty_measure(mu.dim, mu.domain)
     return coalesce(DiscreteSignedMeasure(_readonly(pts), _readonly(wts), mu.domain))
 
 

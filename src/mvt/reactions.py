@@ -18,6 +18,11 @@ analytic certificates consumed by the solver:
     for density-compatible reactions, a bound on the L^p norm of the
     reaction applied to densities with norm at most r.
 
+A rate constant in x, a function of t and the total mass only, may also
+set ``uniform_rate(times, masses)``: the same formula on arrays, one rate
+per node (a scalar broadcasts), so the solver rates a whole Picard sweep
+in one call.  The built-in rates derive ``rate`` from it.
+
 Certificates are trusted inputs, exactly like velocity-field bounds;
 ``verify_assumptions`` spot-checks them by sampling.
 """
@@ -71,6 +76,7 @@ class ReactionSpec:
     rate: Callable[[float, DiscreteSignedMeasure], BoundedLipschitzFunction] | None = None
     lp_bound: Callable[[float, float, float, float], float] | None = None
     density_action: Callable[[float, GridDensity], GridDensity] | None = None
+    uniform_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
     def density_compatible(self) -> bool:
@@ -96,6 +102,11 @@ def eval_reaction(
     if len(parts) == 1:
         return parts[0]
     return linear_combine(1.0, parts[0], 1.0, parts[1])
+
+
+def _uniform(fn: Callable) -> dict:
+    """``rate`` and ``uniform_rate`` of a rate fn(t, mass) that is constant in x."""
+    return dict(rate=lambda t, mu: constant_function(fn(t, mu.total_mass)), uniform_rate=fn)
 
 
 def _zero_density_action(t: float, u: GridDensity) -> GridDensity:
@@ -200,7 +211,7 @@ def builtin_reaction(
             c_f=lambda R: abs(c) * R,
             l_f=lambda R: abs(c),
             c_pos=lambda R, T: abs(c),
-            rate=lambda t, mu: constant_function(c),
+            **_uniform(lambda t, m: c),
             lp_bound=lambda p, r, t0, t1: abs(c) * r,
             density_action=lambda t, u: with_values(u, c * u.values),
         )
@@ -208,9 +219,6 @@ def builtin_reaction(
         r_rate, capacity = params
         if capacity <= 0:
             raise ValueError("logistic capacity must be positive")
-
-        def _logistic_rate(t: float, mu: DiscreteSignedMeasure) -> BoundedLipschitzFunction:
-            return constant_function(r_rate * (1.0 - mu.total_mass / capacity))
 
         def _logistic_density(t: float, u: GridDensity) -> GridDensity:
             return with_values(u, r_rate * (1.0 - density_mass(u) / capacity) * u.values)
@@ -225,7 +233,7 @@ def builtin_reaction(
             c_f=lambda R: abs(r_rate) * (1.0 + R / capacity) * R,
             l_f=lambda R: abs(r_rate) * (1.0 + 2.0 * R / capacity),
             c_pos=lambda R, T: abs(r_rate) * (1.0 + R / capacity),
-            rate=_logistic_rate,
+            **_uniform(lambda t, m: r_rate * (1.0 - m / capacity)),
             lp_bound=_logistic_lp,
             density_action=_logistic_density,
         )
@@ -238,7 +246,7 @@ def builtin_reaction(
             c_f=lambda R: a * R,
             l_f=lambda R: a,
             c_pos=lambda R, T: a,
-            rate=lambda t, mu: constant_function(-a),
+            **_uniform(lambda t, m: -a),
         )
     if name == "dirac_source":
         sigma, *center = params
@@ -293,9 +301,6 @@ def builtin_reaction(
     if name == "mass_rate":
         (alpha,) = params
 
-        def _mass_rate(t: float, mu: DiscreteSignedMeasure) -> BoundedLipschitzFunction:
-            return constant_function(alpha * mu.total_mass)
-
         def _mass_density(t: float, u: GridDensity) -> GridDensity:
             return with_values(u, alpha * density_mass(u) * u.values)
 
@@ -308,7 +313,7 @@ def builtin_reaction(
             c_f=lambda R: abs(alpha) * R * R,
             l_f=lambda R: 2.0 * abs(alpha) * R,
             c_pos=lambda R, T: abs(alpha) * R,
-            rate=_mass_rate,
+            **_uniform(lambda t, m: alpha * m),
             lp_bound=_mass_lp,
             density_action=_mass_density,
         )

@@ -32,6 +32,8 @@ sits at node k on the transport curve's support: on separated supports
 in canonical order, sweeps and Picard distances run as arithmetic on
 one (nodes, atoms) weight array, bitwise equal to the measure path,
 which takes over for the rest of an interval when a weight is pruned.
+A rate constant in x (``ReactionSpec.uniform_rate``) rates a whole sweep
+in one call, and only a distance's mixed-sign rows become measures.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .grids import GridDensity, lp_norm, with_values
 from .measures import (
     WEIGHT_EPS,
     DiscreteSignedMeasure,
+    MeasureError,
     _function_values,
     _readonly,
     _separated,
@@ -331,13 +334,21 @@ def _sweep_weights(
     """``_sweep_measures`` on the weight array, or None where it would prune.
 
     Each step is the measure path's arithmetic on the same values, so the
-    result is bitwise equal.
+    result is bitwise equal.  A spec with ``uniform_rate`` gets all node
+    rates from one call on the row sums, which are ``total_mass`` row by
+    row; otherwise each node's ``rate`` is called.
     """
     w = curve.weights
     g = c * w  # with no rate and c = 0: zeros, which add nothing
     if spec.rate is not None:
-        rated = np.array([mu.weights * _function_values(spec.rate(float(t_j), mu), mu)
-                          for t_j, mu in zip(times, curve)])
+        if spec.uniform_rate is not None:
+            rates = np.broadcast_to(spec.uniform_rate(times, np.sum(w, axis=1)), (len(w),))
+            if not np.all(np.isfinite(rates)):  # as _function_values says it
+                raise MeasureError("function returned non-finite values on the support")
+            rated = w * rates[:, None]
+        else:
+            rated = np.array([mu.weights * _function_values(spec.rate(float(t_j), mu), mu)
+                              for t_j, mu in zip(times, curve)])
         if not np.all(np.abs(rated) >= WEIGHT_EPS):  # multiply_by_function's keep rule
             return None
         g = rated + g
@@ -415,23 +426,33 @@ def _curve_distance(
     Total variation dominates the flat norm, so nodes whose TV gap is
     already far below tolerance skip the LP; the rest go to ``fm_norms``
     together, so their LPs take one HiGHS call.  Two ``_NodeWeights`` are
-    subtracted on the shared support, as ``linear_combine`` would.
+    subtracted on the shared support, as ``linear_combine`` would, and
+    their TVs, sign tests and one-signed norms (``flat_metric``'s route 2,
+    summed right to left over columns, which are in sorted-x order) are
+    row-wise arithmetic; only mixed-sign rows become measures.
     """
     if isinstance(new, _NodeWeights) and isinstance(old, _NodeWeights):
         diff = new.weights - old.weights
         keep = np.abs(diff) >= WEIGHT_EPS
-        diffs = (DiscreteSignedMeasure(p[row] + 0.0, x[row], new.nu.domain)
-                 for p, x, row in zip(new.points, diff, keep))
+        mag = np.where(keep, np.abs(diff), 0.0)  # zeros add nothing to a sequential sum
+        tv = np.sum(mag, axis=1)
+        if diff.shape[1] >= 8:  # where np.sum groups pairwise, zeros regroup it
+            for k in np.flatnonzero(~np.all(keep, axis=1)):
+                tv[k] = np.sum(mag[k, keep[k]])
+        far = tv > 1e-3 * tol
+        one_sign = np.all((diff > 0.0) | ~keep, axis=1) | np.all((diff < 0.0) | ~keep, axis=1)
+        by_sign = np.cumsum(mag[:, ::-1], axis=1)[:, -1][far & one_sign]
+        worst = float(max(np.max(tv[~far], initial=0.0), np.max(by_sign, initial=0.0)))
+        nodes = np.flatnonzero(far & ~one_sign).tolist()
+        diffs = [DiscreteSignedMeasure(new.points[k][keep[k]] + 0.0, diff[k, keep[k]],
+                                       new.nu.domain) for k in nodes]
     else:
-        diffs = (linear_combine(1.0, a, -1.0, b) for a, b in zip(new, old))
-    worst, far = 0.0, {}
-    for k, diff in enumerate(diffs):
-        d = tv_norm(diff)
-        if d > 1e-3 * tol:
-            far[k] = diff
-        else:
-            worst = max(worst, d)
-    for k, res in zip(far, fm_norms(list(far.values()))):
+        diffs = [linear_combine(1.0, a, -1.0, b) for a, b in zip(new, old)]
+        tv = np.array([tv_norm(diff) for diff in diffs])
+        worst = float(np.max(tv[tv <= 1e-3 * tol], initial=0.0))
+        nodes = np.flatnonzero(tv > 1e-3 * tol).tolist()
+        diffs = [diffs[k] for k in nodes]
+    for k, res in zip(nodes, fm_norms(diffs)):
         if res.status != STATUS_OPTIMAL:
             raise SolverError(f"flat-norm evaluation failed at node {k} with status {res.status!r}")
         worst = max(worst, res.value)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from mvt import measures, solver
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "mvt").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
@@ -68,3 +70,12 @@ def test_no_unreferenced_private_definitions():
             if name.startswith("_") and not name.endswith("__") and name not in referenced:
                 stranded.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not stranded, "private and never referenced:\n" + "\n".join(stranded)
+
+
+def test_benchmark_tracer_hooks_exist():
+    # perfbench/tracer.py binds these by name and, if one is gone, only
+    # warns and reads 0 for its counters; its self-test checks fm_norm
+    for module, name in [(solver, "_sweep_measures"), (solver, "_curve_distance"),
+                         (measures, "_merge_pass"), (solver, "fm_norm")]:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert "__len__" in vars(solver._NodeWeights)  # node_sweeps counts len(new)

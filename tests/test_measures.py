@@ -70,6 +70,13 @@ def test_dirac_and_empty():
     assert e.num_atoms == 0 and tv_norm(e) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4)])
+def test_empty_points_need_a_valid_dimension(shape):
+    # an empty support still fixes the dimension its CSV header names
+    with pytest.raises(ValueError, match="dimension must be 1, 2 or 3"):
+        measure(np.zeros(shape), [])
+
+
 def test_tv_and_negative_part():
     mu = measure([[0.0], [1.0], [2.0]], [1.0, -0.5, 0.25])
     assert tv_norm(mu) == pytest.approx(1.75)

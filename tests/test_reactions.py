@@ -27,6 +27,31 @@ from mvt.reactions import (
 from mvt.flat_metric import fm_distance
 
 
+UNIFORM_RATES = [("linear_rate", [1.5]), ("logistic", [1.0, 2.0]), ("death_rate", [0.8]),
+                 ("death_rate", [0.0]), ("mass_rate", [0.6])]
+
+
+@pytest.mark.parametrize("name,params", UNIFORM_RATES)
+def test_uniform_rate_is_the_rate_bitwise(name, params):
+    # one call on all (time, mass) pairs gives each measure's rate, bit for bit
+    spec = builtin_reaction(name, params)
+    rng = np.random.default_rng(3)
+    mus = [measure(rng.uniform(-1.0, 1.0, (n, 1)), rng.normal(0.0, 1.0, n))
+           for n in (1, 3, 9, 40)]
+    times = rng.uniform(0.0, 1.0, len(mus))
+    masses = np.array([mu.total_mass for mu in mus])
+    rates = np.broadcast_to(spec.uniform_rate(times, masses), (len(mus),))
+    for t, mu, r in zip(times, mus, rates):
+        values = spec.rate(float(t), mu)(mu.points)
+        assert values.tobytes() == np.full(mu.num_atoms, r).tobytes()
+
+
+def test_uniform_rate_only_on_rates_constant_in_space():
+    for name, params in [("zero", []), ("dirac_source", [0.3, 0.0]),
+                         ("smoothed_source", [0.5, 0.1, 0.0])]:
+        assert builtin_reaction(name, params).uniform_rate is None
+
+
 def test_builtin_names_complete():
     for name in REACTION_NAMES:
         spec = builtin_reaction(name, {

@@ -15,6 +15,8 @@ from mvt.geometry import TORUS
 from mvt.grids import lp_norm, quantize, uniform_density
 from mvt.measures import (
     DiscreteSignedMeasure,
+    MeasureError,
+    constant_function,
     dirac,
     empty_measure,
     linear_combine,
@@ -588,6 +590,102 @@ def test_rate_reaction_sweeps_on_arrays():
     fast, slow, on_arrays = _both_paths(lambda: solve_maximal(spec, v, nu, 0.0, 0.3, config))
     assert len(on_arrays) > 3 and all(on_arrays)
     _assert_bitwise(fast, slow)
+
+
+def _weights_curve(spec, v, nu, tau, nodes, c=0.0):
+    times = np.linspace(0.0, tau, nodes)
+    push = solver._panel_push(v, times, default_step(tau))
+    curve = solver._fixed_supports(spec, solver._transport_curve(times, push, nu), c)
+    assert curve is not None
+    return times, curve
+
+
+@pytest.mark.parametrize("reaction", [("logistic", [1.0, 60.0]), ("mass_rate", [0.02])])
+@pytest.mark.parametrize("shift", [0.0, 0.9])
+def test_uniform_rate_sweeps_match_per_node_rates_bitwise(reaction, shift):
+    # 48 separated atoms, so np.sum adds every row's mass in pairwise blocks
+    rng = np.random.default_rng(11)
+    spec = builtin_reaction(*reaction)
+    per_node = dataclasses.replace(spec, uniform_rate=None)
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure(np.linspace(-1.0, 1.0, 48), rng.uniform(0.2, 1.5, 48))
+    tau = choose_step(spec, tv_norm(nu), SolverConfig().delta, velocity=v, cap=0.3)
+    times, a = _weights_curve(spec, v, nu, tau, 9, shift)
+    b = a
+    for _ in range(4):
+        a = solver._sweep_weights(spec, times, a, shift)
+        b = solver._sweep_weights(per_node, times, b, shift)
+        assert a is not None and a.weights.tobytes() == b.weights.tobytes()
+    config = SolverConfig(quad_nodes=9)
+    _assert_bitwise(solver._fixed_point(spec, v, 0.0, tau, nu, config, shift, None),
+                    solver._fixed_point(per_node, v, 0.0, tau, nu, config, shift, None))
+
+
+def test_uniform_rate_non_finite_raises_as_per_node_rate():
+    spec = builtin_reaction("logistic", [1.0, 2.0])
+    v = builtin_field("constant", [0.3], 1)
+    times, curve = _weights_curve(spec, v, measure([[0.0], [0.5]], [1.0, 0.5]), 0.2, 9)
+    nan_hook = dataclasses.replace(spec, uniform_rate=lambda t, m: np.where(t > 0.1, np.nan, m))
+    nan_rate = dataclasses.replace(
+        spec, uniform_rate=None,
+        rate=lambda t, mu: constant_function(np.nan if t > 0.1 else 1.0))
+    for bad in (nan_hook, nan_rate):
+        with pytest.raises(MeasureError, match="^function returned non-finite values on the support$"):
+            solver._sweep_weights(bad, times, curve, 0.0)
+
+
+def _pruned_rows(rng, n, domain, big):
+    """Two weight arrays whose difference has one row of each kind the
+    row-wise distance tells apart; row ``big`` is scaled to dominate."""
+    rows = 6
+    old = rng.uniform(0.5, 1.0, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+    delta = rng.uniform(1e-3, 1e-1, (rows, n))
+    delta[big] *= 50.0
+    tiny = rng.random((rows, n)) < 0.4
+    tiny[1:4, -1], tiny[2, :2] = True, False
+    delta[0] = 0.0  # node 0: every entry pruned
+    alternate = (-1.0) ** np.arange(n)
+    delta[2] *= alternate  # rows 1-3: one sign, mixed, one sign, with entries pruned
+    delta[3] *= -1.0
+    delta[4] *= alternate
+    tiny[4] = tiny[5] = False  # mixed, and one sign, with nothing pruned
+    delta[tiny] = rng.uniform(-4e-16, 4e-16, np.count_nonzero(tiny))
+    new = old + delta
+    keep = np.abs(new - old) >= 1e-15
+    assert not keep[0].any() and keep[4:].all() and not keep[1:4].all(axis=1).any()
+    x = np.linspace(0.05, 0.9, n)
+    points = [np.sort((x + 0.01 * k) % 1.0 if domain == TORUS else x + 0.3 * k).reshape(-1, 1)
+              for k in range(rows)]
+
+    def weights(w):
+        nu = DiscreteSignedMeasure(points[0], w[0], domain)
+        return solver._NodeWeights(nu, points, points, w)
+
+    return weights(new), weights(old)
+
+
+@pytest.mark.parametrize("domain", ["euclidean", TORUS])
+@pytest.mark.parametrize("n", [8, 12, 40])
+def test_curve_distance_rows_match_the_measure_route_bitwise(monkeypatch, domain, n):
+    # at 8 atoms or more np.sum adds in pairwise blocks, where zeroed
+    # (pruned) entries would regroup it
+    rng = np.random.default_rng(n)
+    fm_norms, sent = solver.fm_norms, []
+
+    def spy(mus):
+        sent.append([mu.num_atoms for mu in mus])
+        return fm_norms(mus)
+
+    monkeypatch.setattr(solver, "fm_norms", spy)
+    for big in range(1, 6):
+        new, old = _pruned_rows(rng, n, domain, big)
+        for tol in (1e6, 1e-12):  # every node under the TV skip, then none but node 0
+            sent.clear()
+            fast = solver._curve_distance(new, old, tol)
+            mixed = sent[0]
+            slow = solver._curve_distance(list(new), list(old), tol)
+            assert type(fast) is float and np.float64(fast).tobytes() == np.float64(slow).tobytes()
+            assert len(mixed) == (0 if tol > 1 else 2)  # only rows 2 and 4 become measures
 
 
 # --- solve_maximal ----------------------------------------------------------
