@@ -13,8 +13,10 @@ also gets a digest of its own: one per diagnostic array, one over all
 nodes' points, one over their weights, one over the densities and one
 over the flags.
 
-With --out, each scenario also writes its trajectory.csv into
-DIR/<name>/ in the same format as ``mvt simulate``.
+With --out, each scenario also writes its trajectory.csv, its final
+measure (final_measure.csv) and, where it tracks one, its final density
+(final_density.csv) into DIR/<name>/, in the same formats as
+``mvt simulate``.
 
 With --expect, the digests are compared with ``scenarios.change.<name>.sha256``
 of a saved benchmark record such as BENCH_8.json; the script exits 1 and
@@ -34,6 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from mvt.cli import write_trajectory_csv
+from mvt.grids import save_density
+from mvt.measures import save_measure
 from mvt.scenarios import BUNDLED_SCENARIOS, bundled_scenario
 from mvt.solver import Trajectory, solve_maximal
 
@@ -82,7 +86,8 @@ def trajectory_digests(traj: Trajectory) -> tuple[str, dict[str, str]]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", default=None, help="run a single scenario")
-    parser.add_argument("--out", default=None, help="directory for trajectory CSVs")
+    parser.add_argument("--out", default=None,
+                        help="directory for trajectory and final-state CSVs")
     parser.add_argument("--expect", default=None,
                         help="benchmark record whose scenario digests must match")
     parser.add_argument("--json", default=None,
@@ -135,6 +140,9 @@ def main() -> int:
             out_dir = Path(args.out) / name
             out_dir.mkdir(parents=True, exist_ok=True)
             write_trajectory_csv(out_dir / "trajectory.csv", traj)
+            save_measure(traj.final_measure, str(out_dir / "final_measure.csv"))
+            if traj.densities is not None:
+                save_density(traj.densities[-1], str(out_dir / "final_density.csv"))
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(entries, fh, indent=1)

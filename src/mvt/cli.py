@@ -53,7 +53,7 @@ import numpy as np
 from .flat_metric import FlatNormError, fm_distance
 from .grids import save_density
 from .harness import SUITE_NAMES, run_suite
-from .measures import MeasureError, load_measure, save_measure
+from .measures import MeasureError, load_measure, save_measure, write_float_rows
 from .scenarios import ScenarioError, parse_scenario
 from .solver import NonContractionError, SolverError, solve_maximal
 
@@ -69,30 +69,9 @@ def write_trajectory_csv(path: Path, traj) -> None:
     two runs can be compared byte for byte.
     """
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "t",
-                "tv_norm",
-                "neg_part_tv",
-                "fm_step_distance",
-                "picard_iters",
-                "contraction_ratio",
-                "lp_norm",
-            ]
-        )
-        for k in range(len(traj.times)):
-            writer.writerow(
-                [
-                    _fmt_repr(traj.times[k]),
-                    _fmt_repr(traj.tv_norm[k]),
-                    _fmt_repr(traj.neg_part_tv[k]),
-                    _fmt_repr(traj.fm_step_distance[k]),
-                    str(int(traj.picard_iters[k])),
-                    _fmt_repr(traj.contraction_ratio[k]),
-                    _fmt_repr(traj.lp_norm[k]),
-                ]
-            )
+        fh.write("t,tv_norm,neg_part_tv,fm_step_distance,picard_iters,contraction_ratio,lp_norm\n")
+        write_float_rows(fh, [traj.times, traj.tv_norm, traj.neg_part_tv, traj.fm_step_distance,
+                              traj.picard_iters, traj.contraction_ratio, traj.lp_norm])
 
 
 def _snapshot_indices(n_nodes: int, snapshots: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.special
 
 from .geometry import EUCLIDEAN, TORUS, validate_dim, validate_domain, wrap_torus
-from .measures import WEIGHT_EPS, DiscreteSignedMeasure, measure, write_float_rows
+from .measures import WEIGHT_EPS, DiscreteSignedMeasure, _read_rows, measure, write_float_rows
 
 
 class GridError(ValueError):
@@ -271,21 +271,12 @@ def density_from_csv(text: str, domain: str = EUCLIDEAN) -> GridDensity:
     cells = int(meta[0])
     box_min = [float(x) for x in meta[1 : 1 + dim]]
     box_max = [float(x) for x in meta[1 + dim : 1 + 2 * dim]]
-    p = np.inf if meta[-1].strip() == "inf" else float(meta[-1])
-    flat = []
-    for line_no, row in enumerate(reader, start=3):
-        if not row:
-            continue
-        if len(row) != 1:
-            raise GridError(f"row {line_no}: expected a single density value")
-        try:
-            flat.append(float(row[0]))
-        except ValueError as exc:
-            raise GridError(f"row {line_no}: {exc}") from None
+    p = float(meta[-1])
+    flat = _read_rows(reader, 1, 3, GridError)
     expected_count = cells**dim
     if len(flat) != expected_count:
         raise GridError(f"expected {expected_count} density values, got {len(flat)}")
-    values = np.array(flat).reshape((cells,) * dim)
+    values = flat.reshape((cells,) * dim)
     return grid_density(box_min, box_max, cells, values, p, domain)
 
 

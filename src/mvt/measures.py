@@ -240,8 +240,16 @@ def _separated(points: np.ndarray, domain: str) -> bool:
     wrap-around gap between the extreme atoms as ``geometry.distance``
     does.
     """
-    x0 = np.sort(points[:, 0])
-    if np.any(np.diff(x0) <= COALESCE_EPS):
+    return _gaps_clear(np.sort(points[:, 0]), points, domain)
+
+
+def _gaps_clear(x0: np.ndarray, points: np.ndarray, domain: str) -> bool:
+    """``_separated``'s rule on ``x0``, the first coordinates of ``points`` in their given order.
+
+    Every step from one coordinate to the next must exceed ``COALESCE_EPS``,
+    so coordinates out of ascending order fail.
+    """
+    if not np.all(np.diff(x0) > COALESCE_EPS):
         return False
     if domain != TORUS:
         return True
@@ -324,8 +332,7 @@ def _function_values(
     mu: DiscreteSignedMeasure,
 ) -> np.ndarray:
     """g at each atom of mu, as a flat array; errors on a wrong count or non-finite values."""
-    values = np.asarray(g(mu.points) if callable(g) else g.evaluate(mu.points), dtype=float)
-    values = values.reshape(-1)
+    values = np.asarray(g(mu.points), dtype=float).reshape(-1)
     if values.shape[0] != mu.num_atoms:
         raise MeasureError("function returned wrong number of values")
     if not np.all(np.isfinite(values)):
@@ -360,15 +367,36 @@ _CSV_CHUNK_ROWS = 4096
 
 
 def write_float_rows(fh, columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length float columns to ``fh`` as CSV rows of ``repr`` values.
+    """Write equal-length numeric columns to ``fh`` as CSV rows of ``repr`` values.
 
+    Each column keeps its own dtype, so an integer column prints as integers.
     Formats ``_CSV_CHUNK_ROWS`` rows at a time, so a large table's row strings never all exist at once.
     """
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         stop = start + _CSV_CHUNK_ROWS
-        cells = [map(repr, np.asarray(c[start:stop], dtype=float).tolist()) for c in columns]
+        cells = [map(repr, np.asarray(c[start:stop]).tolist()) for c in columns]
         fh.write("\n".join(map(",".join, zip(*cells))))
         fh.write("\n")
+
+
+def _read_rows(reader, width: int, first_line: int, error: type[Exception]) -> np.ndarray:
+    """The rest of ``reader`` as an (n, width) float array; blank rows are skipped.
+
+    ``first_line`` is the line number of the first row read.  A row of
+    another width or with a non-numeric field raises ``error`` naming
+    its line.
+    """
+    rows = []
+    for line_no, row in enumerate(reader, start=first_line):
+        if not row:
+            continue
+        if len(row) != width:
+            raise error(f"row {line_no}: has {len(row)} fields, expected {width}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise error(f"row {line_no}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def measure_to_csv(mu: DiscreteSignedMeasure) -> str:
@@ -397,22 +425,10 @@ def measure_from_csv(text: str, domain: str = EUCLIDEAN) -> DiscreteSignedMeasur
     if header[:-1] != expected:
         raise MeasureError(f"bad measure header {header!r}; expected {expected + ['weight']}")
     validate_dim(dim)
-    pts: list[list[float]] = []
-    wts: list[float] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != dim + 1:
-            raise MeasureError(f"row {line_no}: expected {dim + 1} fields, got {len(row)}")
-        try:
-            values = [float(v) for v in row]
-        except ValueError as exc:
-            raise MeasureError(f"row {line_no}: {exc}") from None
-        pts.append(values[:dim])
-        wts.append(values[dim])
-    if not pts:
+    rows = _read_rows(reader, dim + 1, 2, MeasureError)
+    if not len(rows):
         return empty_measure(dim, domain)
-    return measure(np.array(pts), np.array(wts), domain)
+    return measure(rows[:, :dim], rows[:, dim], domain)
 
 
 def load_measure(path: str, domain: str = EUCLIDEAN) -> DiscreteSignedMeasure:

@@ -21,7 +21,8 @@ analytic certificates consumed by the solver:
 A rate constant in x, a function of t and the total mass only, may also
 set ``uniform_rate(times, masses)``: the same formula on arrays, one rate
 per node (a scalar broadcasts), so the solver rates a whole Picard sweep
-in one call.  The built-in rates derive ``rate`` from it.
+in one call; a rate without it is swept on measures.  The built-in
+rates derive ``rate`` from it.
 
 Certificates are trusted inputs, exactly like velocity-field bounds;
 ``verify_assumptions`` spot-checks them by sampling.
@@ -77,10 +78,6 @@ class ReactionSpec:
     lp_bound: Callable[[float, float, float, float], float] | None = None
     density_action: Callable[[float, GridDensity], GridDensity] | None = None
     uniform_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    @property
-    def density_compatible(self) -> bool:
-        return self.density_action is not None
 
 
 def eval_reaction(

@@ -208,8 +208,7 @@ def _parse_density(section, domain: str, dim: int) -> GridDensity:
         if density.dim != dim:
             raise ScenarioError(f"density file has dim {density.dim}, scenario says {dim}")
         return density
-    p_raw = _get(section, "p", "2.0")
-    p = np.inf if p_raw in ("inf", "Infinity") else float(p_raw)
+    p = float(_get(section, "p", "2.0"))
     cells_raw = _get(section, "cells")
     box_raw = _get(section, "box")
     if cells_raw is None or box_raw is None:

@@ -28,12 +28,13 @@ alike; iterates live on that grid as particle measures; flows
 advance node to node, so atoms produced at different nodes stay aligned
 across sweeps and coalesce exactly.
 A reaction with no production only rescales weights, so every iterate
-sits at node k on the transport curve's support: on separated supports
-in canonical order, sweeps and Picard distances run as arithmetic on
-one (nodes, atoms) weight array, bitwise equal to the measure path,
-which takes over for the rest of an interval when a weight is pruned.
-A rate constant in x (``ReactionSpec.uniform_rate``) rates a whole sweep
-in one call, and only a distance's mixed-sign rows become measures.
+sits at node k on the transport curve's support.  When its rate, if it
+has one, is constant in x (``ReactionSpec.uniform_rate``), sweeps and
+Picard distances on separated supports in canonical order run as
+arithmetic on one (nodes, atoms) weight array, bitwise equal to the
+measure path, which takes over for the rest of an interval when a
+weight is pruned.  One ``uniform_rate`` call rates a whole sweep, and
+only a distance's mixed-sign rows become measures.
 """
 from __future__ import annotations
 
@@ -50,9 +51,8 @@ from .measures import (
     WEIGHT_EPS,
     DiscreteSignedMeasure,
     MeasureError,
-    _function_values,
+    _gaps_clear,
     _readonly,
-    _separated,
     linear_combine,
     negative_part_tv,
     tv_norm,
@@ -311,15 +311,20 @@ def _fixed_supports(
 ) -> _NodeWeights | None:
     """The transport curve as a ``_NodeWeights``, or None if sweeps need measures.
 
+    The reaction needs no production, and a rate only as ``uniform_rate``.
     Every node needs a nonempty support in canonical order that
     ``measures._separated`` clears, so that each ``linear_combine`` of
-    the measure path adds weights atom by atom.  That adds 0.0 to the
-    points; with neither rate nor shift every sum is a concatenation,
-    which does not.
+    the measure path adds weights atom by atom; its gap rule runs on the
+    first coordinates as stored, which fails them out of ascending
+    order.  That adds 0.0 to the points; with neither rate nor shift
+    every sum is a concatenation, which does not.
     """
     nu, points = curve[0], [mu.points for mu in curve]
-    if spec.production is not None or not nu.num_atoms or not all(
-        np.all(p[1:, 0] > p[:-1, 0]) and _separated(p, nu.domain) for p in points
+    if (
+        spec.production is not None
+        or (spec.rate is not None and spec.uniform_rate is None)
+        or not nu.num_atoms
+        or not all(_gaps_clear(p[:, 0], p, nu.domain) for p in points)
     ):
         return None
     swept = points
@@ -334,21 +339,16 @@ def _sweep_weights(
     """``_sweep_measures`` on the weight array, or None where it would prune.
 
     Each step is the measure path's arithmetic on the same values, so the
-    result is bitwise equal.  A spec with ``uniform_rate`` gets all node
-    rates from one call on the row sums, which are ``total_mass`` row by
-    row; otherwise each node's ``rate`` is called.
+    result is bitwise equal.  All node rates come from one ``uniform_rate``
+    call on the row sums, which are ``total_mass`` row by row.
     """
     w = curve.weights
     g = c * w  # with no rate and c = 0: zeros, which add nothing
-    if spec.rate is not None:
-        if spec.uniform_rate is not None:
-            rates = np.broadcast_to(spec.uniform_rate(times, np.sum(w, axis=1)), (len(w),))
-            if not np.all(np.isfinite(rates)):  # as _function_values says it
-                raise MeasureError("function returned non-finite values on the support")
-            rated = w * rates[:, None]
-        else:
-            rated = np.array([mu.weights * _function_values(spec.rate(float(t_j), mu), mu)
-                              for t_j, mu in zip(times, curve)])
+    if spec.rate is not None:  # _fixed_supports made sure uniform_rate is set
+        rates = np.broadcast_to(spec.uniform_rate(times, np.sum(w, axis=1)), (len(w),))
+        if not np.all(np.isfinite(rates)):  # as measures._function_values says it
+            raise MeasureError("function returned non-finite values on the support")
+        rated = w * rates[:, None]
         if not np.all(np.abs(rated) >= WEIGHT_EPS):  # multiply_by_function's keep rule
             return None
         g = rated + g

@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, output files, printed values."""
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from mvt.geometry import TORUS
 from mvt.grids import gaussian_density, load_density, save_density
 from mvt.measures import dirac, measure, save_measure
 from mvt.scenarios import CONFIG_DIR
+from mvt.solver import Trajectory
 
 BASIC = """\
 [scenario]
@@ -192,6 +195,48 @@ def test_simulate_failure_writes_finished_intervals(tmp_path, capsys, monkeypatc
     assert rows[-1].startswith("0.1,")
     for row in (out / "snapshots.csv").read_text().splitlines()[1:]:
         assert (out / row.split(",")[2]).exists()
+
+
+def _reference_trajectory_csv(traj) -> str:
+    """trajectory.csv written row by row through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "tv_norm", "neg_part_tv", "fm_step_distance", "picard_iters",
+                     "contraction_ratio", "lp_norm"])
+    for k in range(len(traj.times)):
+        writer.writerow([repr(float(traj.times[k])), repr(float(traj.tv_norm[k])),
+                         repr(float(traj.neg_part_tv[k])), repr(float(traj.fm_step_distance[k])),
+                         str(int(traj.picard_iters[k])), repr(float(traj.contraction_ratio[k])),
+                         repr(float(traj.lp_norm[k]))])
+    return buf.getvalue()
+
+
+def test_trajectory_csv_bytes_match_row_writer(tmp_path):
+    from mvt.measures import _CSV_CHUNK_ROWS
+
+    n = _CSV_CHUNK_ROWS + 37  # more than one chunk of rows
+    rng = np.random.default_rng(7)
+    special = [-0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0]
+    cols = {name: rng.normal(size=n) for name in
+            ("tv_norm", "neg_part_tv", "fm_step_distance", "contraction_ratio", "lp_norm")}
+    for col in cols.values():
+        col[:5] = special
+        col[_CSV_CHUNK_ROWS - 1 : _CSV_CHUNK_ROWS + 1] = [-0.0, 5e-324]
+    cols["lp_norm"][[7, _CSV_CHUNK_ROWS]] = np.nan
+    times = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    times[0] = -0.0
+    traj = Trajectory(times=times, measures=[dirac(0.0)] * n, densities=None,
+                      picard_iters=rng.integers(0, 40, n), **cols)
+    path = tmp_path / "trajectory.csv"
+    cli.write_trajectory_csv(path, traj)
+    text, want = path.read_text(), _reference_trajectory_csv(traj)
+    lines = text.splitlines()
+    # name the first differing line: a diff of the whole file takes minutes
+    first = next((k for k, pair in enumerate(zip(lines, want.splitlines())) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first + 1}: {lines[first]!r}"
+    assert text == want
+    assert lines[1].split(",")[4] == str(traj.picard_iters[0])
+    assert "nan" in lines[8]
 
 
 def test_simulate_deterministic_bytes(tmp_path, capsys):

@@ -207,6 +207,16 @@ def test_csv_header_validation():
         measure_from_csv("x1,weight\n0.0,oops\n")
 
 
+def test_csv_skips_blank_lines_and_names_bad_rows():
+    mu = measure_from_csv("x1,x2,weight\n0.5,1.0,2.0\n\n-1.0,0.25,-0.5\n")
+    np.testing.assert_array_equal(mu.points, [[-1.0, 0.25], [0.5, 1.0]])
+    np.testing.assert_array_equal(mu.weights, [-0.5, 2.0])
+    with pytest.raises(MeasureError, match="^row 4: has 2 fields, expected 3$"):
+        measure_from_csv("x1,x2,weight\n0.5,1.0,2.0\n\n1.0,0.5\n")
+    with pytest.raises(MeasureError, match="^row 3: could not convert string to float: 'x'$"):
+        measure_from_csv("x1,x2,weight\n0.5,1.0,2.0\n1.0,x,0.5\n")
+
+
 def test_csv_empty_measure():
     mu = measure_from_csv("x1,weight\n")
     assert mu.num_atoms == 0 and mu.dim == 1

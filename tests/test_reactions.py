@@ -80,7 +80,7 @@ def test_zero_reaction():
     mu = dirac(0.0, 2.0)
     assert eval_reaction(spec, 0.0, mu).num_atoms == 0
     assert spec.c_f(5.0) == 0.0 and spec.l_f(5.0) == 0.0
-    assert spec.density_compatible
+    assert spec.density_action is not None
 
 
 def test_linear_rate_is_c_mu():
@@ -110,7 +110,7 @@ def test_death_rate_drains():
     out = eval_reaction(spec, 0.0, mu)
     assert out.total_mass == pytest.approx(-1.4)
     assert spec.production is None
-    assert not spec.density_compatible
+    assert spec.density_action is None
 
 
 def test_dirac_source_constant():
@@ -138,7 +138,7 @@ def test_smoothed_source_bump():
     assert out.total_mass == pytest.approx(0.5)
     # all atoms inside the bump support
     assert np.all(np.abs(out.points[:, 0] - 0.5) <= 0.1 + 1e-12)
-    assert spec.density_compatible
+    assert spec.density_action is not None
     # analytic L^p certificate matches the continuum profile norm
     u = uniform_density([0.0], [1.0], 2048, 0.0, 2.0)
     du = spec.density_action(0.0, u)

@@ -291,6 +291,19 @@ params = 0.5
     assert mass(scenario.density) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_density_section_p_inf(tmp_path):
+    text = MINIMAL + """
+[density]
+kind = uniform
+box = -1.0, 1.0
+cells = 8
+p = inf
+params = 0.5
+"""
+    scenario, _ = parse_scenario(_write(tmp_path, text))
+    assert scenario.density.p == np.inf
+
+
 def test_density_section_gaussian_center(tmp_path):
     text = MINIMAL.replace("dim = 1", "dim = 2").replace(
         "params = 1.0, 0.0", "params = 1.0, 0.0, 0.0"

@@ -603,35 +603,53 @@ def _weights_curve(spec, v, nu, tau, nodes, c=0.0):
 @pytest.mark.parametrize("reaction", [("logistic", [1.0, 60.0]), ("mass_rate", [0.02])])
 @pytest.mark.parametrize("shift", [0.0, 0.9])
 def test_uniform_rate_sweeps_match_per_node_rates_bitwise(reaction, shift):
-    # 48 separated atoms, so np.sum adds every row's mass in pairwise blocks
+    # 48 separated atoms, so np.sum adds every row's mass in pairwise
+    # blocks; the measure path calls spec.rate node by node
     rng = np.random.default_rng(11)
     spec = builtin_reaction(*reaction)
-    per_node = dataclasses.replace(spec, uniform_rate=None)
     v = builtin_field("constant", [0.3], 1)
     nu = measure(np.linspace(-1.0, 1.0, 48), rng.uniform(0.2, 1.5, 48))
     tau = choose_step(spec, tv_norm(nu), SolverConfig().delta, velocity=v, cap=0.3)
-    times, a = _weights_curve(spec, v, nu, tau, 9, shift)
-    b = a
-    for _ in range(4):
-        a = solver._sweep_weights(spec, times, a, shift)
-        b = solver._sweep_weights(per_node, times, b, shift)
-        assert a is not None and a.weights.tobytes() == b.weights.tobytes()
     config = SolverConfig(quad_nodes=9)
-    _assert_bitwise(solver._fixed_point(spec, v, 0.0, tau, nu, config, shift, None),
-                    solver._fixed_point(per_node, v, 0.0, tau, nu, config, shift, None))
+    fast, slow, on_arrays = _both_paths(
+        lambda: solver._fixed_point(spec, v, 0.0, tau, nu, config, shift, None))
+    assert len(on_arrays) >= 4 and all(on_arrays)
+    _assert_bitwise(fast, slow)
 
 
 def test_uniform_rate_non_finite_raises_as_per_node_rate():
+    # rates turn NaN after t = 0.1: the one uniform_rate call of an array
+    # sweep raises the error the measure path's per-node rate raises
+    def fn(t, m):
+        return np.where(t > 0.1, np.nan, m)
+
+    spec = dataclasses.replace(builtin_reaction("logistic", [1.0, 2.0]), uniform_rate=fn,
+                               rate=lambda t, mu: constant_function(fn(t, mu.total_mass)))
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[0.0], [0.5]], [1.0, 0.5])
+    message = "function returned non-finite values on the support"
+    times, curve = _weights_curve(spec, v, nu, 0.2, 9)
+    with pytest.raises(MeasureError, match=f"^{message}$"):
+        solver._sweep_weights(spec, times, curve, 0.0)
+
+    def run():
+        try:
+            return solver._fixed_point(spec, v, 0.0, 0.2, nu, SolverConfig(quad_nodes=9), 0.0, None)
+        except MeasureError as exc:
+            return type(exc), str(exc)
+
+    fast, slow, on_arrays = _both_paths(run)
+    assert on_arrays == [] and fast == slow == (MeasureError, message)
+
+
+def test_rate_without_uniform_rate_sweeps_on_measures():
     spec = builtin_reaction("logistic", [1.0, 2.0])
     v = builtin_field("constant", [0.3], 1)
-    times, curve = _weights_curve(spec, v, measure([[0.0], [0.5]], [1.0, 0.5]), 0.2, 9)
-    nan_hook = dataclasses.replace(spec, uniform_rate=lambda t, m: np.where(t > 0.1, np.nan, m))
-    nan_rate = dataclasses.replace(
-        spec, uniform_rate=None,
-        rate=lambda t, mu: constant_function(np.nan if t > 0.1 else 1.0))
-    for bad in (nan_hook, nan_rate):
-        with pytest.raises(MeasureError, match="^function returned non-finite values on the support$"):
-            solver._sweep_weights(bad, times, curve, 0.0)
+    times = np.linspace(0.0, 0.2, 9)
+    push = solver._panel_push(v, times, default_step(0.2))
+    curve = solver._transport_curve(times, push, measure([[0.0], [0.5]], [1.0, 0.5]))
+    assert solver._fixed_supports(spec, curve, 0.0) is not None
+    assert solver._fixed_supports(dataclasses.replace(spec, uniform_rate=None), curve, 0.0) is None
 
 
 def _pruned_rows(rng, n, domain, big):
