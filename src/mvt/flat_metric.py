@@ -18,7 +18,8 @@ are implied by the box).
 2. One sign (one atom included): f = +-1 attains sum |w_i| and nothing
    does better, so the norm is the TV, summed in the chain DP's order.
 3. 1D Euclidean: an exact dynamic program over the chain (slope trick),
-   O(n) memory and a few steps per atom on smooth data.
+   O(n) memory; a walk that would cross a whole side of breakpoints
+   hands that side over instead of moving it entry by entry.
 4. 1D torus: the cycle cut open at its largest gap and solved as a chain
    by the same DP; the result is the cycle's when it meets the closing
    edge, and otherwise the cycle goes on to the LP.
@@ -168,18 +169,25 @@ def fm_norm_oracle(mu: DiscreteSignedMeasure) -> float:
 # "Efficient algorithms computing distances between Radon measures on R").
 #
 # V is held as its maximum m and two deques of (raw, slope drop): the
-# breakpoints left of the argmax plateau and those right of it.  Both
-# deques run outward from the plateau and share one lazy offset: a right
-# breakpoint sits at raw + off, a left one at -(raw + off).  The window
-# max of width delta is then off += delta, and the clamp pops from the
-# outer ends.  Adding w f leaves every slope drop as it is; it only walks
-# the argmax toward the sign of w, moving whole entries from one deque's
-# inner end to the other's and splitting at most one.  A walk that runs
-# out of entries stops at the wall +-1 and pushes an entry there.  A step
-# costs O(1 + entries moved): a few per atom on smooth data, more on
-# alternating large weights at tiny gaps.  The traceback keeps one float
-# per level, the plateau's left end, so memory is O(n); at the wall +1 it
-# is exactly 1.0, as reading it through off could round past the box.
+# breakpoints left of the argmax plateau and those right of it.  Both run
+# outward from the plateau and share one lazy map: an entry lies
+# u = a * (raw + off) outward, a = +-1, so a right breakpoint sits at u
+# and a left one at -u.  The window max of width delta is off += a * delta,
+# and the clamp pops from the outer ends.  Adding w f only walks the
+# argmax toward the sign of w, in t = a * u = raw + off, moving whole
+# entries from one deque's inner end to the other's and splitting at most
+# one; a walk that runs out of entries stops at the wall +-1 and pushes an
+# entry there.  m is held times a.  A walk that finds the other deque
+# empty and |w| at least its own deque's drops (held, the running sum of
+# all drops, rules most others out for free) hands that deque over
+# instead: reversed, it becomes the other side as it is, a -> -a turns
+# every u into -u, and m grows by sum(d * raw) + off * sum(d) from one
+# pass.  Transported densities carry a side of ~150 tail entries from
+# wall to wall at many sign changes.  With a = 1 and no hand-over the
+# arithmetic is the entry-by-entry walk's, bit for bit.  A step costs
+# O(1 + entries moved) otherwise.  The traceback keeps one float per
+# level, the plateau's left end, so memory is O(n); at the wall +1 it is
+# exactly 1.0, as reading it through off could round past the box.
 # ---------------------------------------------------------------------------
 
 def _fm_chain_1d(points: np.ndarray, weights: np.ndarray):
@@ -188,49 +196,61 @@ def _fm_chain_1d(points: np.ndarray, weights: np.ndarray):
     w = weights[order].tolist()
     n = len(x)
     left, right = deque(), deque()  # (raw, drop) entries, inner end first
-    off = m = 0.0
+    a, off, m = 1.0, 0.0, 0.0  # the map's sign and offset; m is held times a
+    held = 0.0  # the drops on both sides, summed as they come and go
     anchors = [0.0] * n  # left end of each level's argmax plateau
     for i in range(n - 1, -1, -1):
         if i < n - 1:
-            off += x[i + 1] - x[i]
-            while left and left[-1][0] + off >= 1.0:
-                left.pop()
-            while right and right[-1][0] + off >= 1.0:
-                right.pop()
+            off += a * (x[i + 1] - x[i])
+            while left and a * (left[-1][0] + off) >= 1.0:
+                held -= left.pop()[1]
+            while right and a * (right[-1][0] + off) >= 1.0:
+                held -= right.pop()[1]
         s = abs(w[i])
         if s > 0.0:
-            # walk in v = sign(w) * position, from the plateau end toward the wall v = 1
+            # walk in t = a * sign(w) * position, from the plateau end toward the wall t = a
             src, dst = (right, left) if w[i] > 0.0 else (left, right)
-            v = src[0][0] + off if src else 1.0
-            m += s * v
+            if src and not dst and s >= held:
+                total = moment = 0.0
+                for raw, d in src:
+                    total += d
+                    moment += raw * d
+                if s >= total:  # the walk would cross all of src: hand it over instead
+                    m += moment + off * total  # each drop at its breakpoint
+                    s -= total
+                    src.reverse()
+                    src, dst, left, right, a, m = dst, src, right, left, -a, -m
+            t = src[0][0] + off if src else a
+            m += s * t
             while src:
                 raw, d = src[0]
                 if d > s:
                     src[0] = (raw, d - s)
-                    dst.appendleft((-v - off, s))
+                    dst.appendleft((-t - off, s))
                     s = 0.0
                     break
                 src.popleft()
-                dst.appendleft((-v - off, d))
+                dst.appendleft((-t - off, d))
                 s -= d
                 if s == 0.0:
                     break
-                nxt = src[0][0] + off if src else 1.0
-                m += s * (nxt - v)
-                v = nxt
+                nxt = src[0][0] + off if src else a
+                m += s * (nxt - t)
+                t = nxt
             if s > 0.0:
-                dst.appendleft((-1.0 - off, s))
+                dst.appendleft((-a - off, s))
+                held += s
         if s > 0.0 and w[i] > 0.0:  # the walk ended at the wall +1
             anchors[i] = 1.0
         else:
-            anchors[i] = -(left[0][0] + off) if left else -1.0
+            anchors[i] = -a * (left[0][0] + off) if left else -1.0
     f_sorted = [anchors[0]] * n
     for i in range(n - 1):
         gap = x[i + 1] - x[i]
         f_sorted[i + 1] = min(max(anchors[i + 1], f_sorted[i] - gap), f_sorted[i] + gap)
     f = np.empty(n)
     f[order] = f_sorted
-    return m, f
+    return a * m, f
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ each other merged, weights below ``WEIGHT_EPS`` dropped, and atoms
 sorted lexicographically by coordinates.  The canonical form makes
 equality checks and downstream optimisation deterministic.
 
-Coalescing merges the connected components of the eps-graph: a
-``scipy.spatial.cKDTree`` (periodic on the torus) proposes the pairs
-within 2 * eps, the exact rule ``geometry.distance <= eps`` keeps the
-edges, and ``scipy.sparse.csgraph.connected_components`` groups them,
-numbering components by their lowest atom index.  All components of
+Coalescing merges the connected components of the eps-graph (edges:
+``geometry.distance <= eps``), numbered by their lowest atom index.  In
+1D they are runs of the atoms sorted by (wrapped) coordinate, the torus
+seam joining the last run to the first.  From 2D a ``cKDTree`` (periodic
+on the torus) proposes the pairs within 2 * eps, the exact rule keeps
+the edges, and ``connected_components`` groups them.  All components of
 2-7 atoms merge in one array pass, bitwise as ``np.sum`` per component.
 
 One rule, ``_separated``, lets coalescing skip the merge pass: when the
@@ -200,17 +201,9 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str):
     ``weights[i] + 0.0``.  When no edge survives, the inputs come back
     unchanged.
     """
-    n = points.shape[0]
-    if domain == TORUS:
-        tree = cKDTree(wrap_torus(points), boxsize=1.0)
-    else:
-        tree = cKDTree(points)
-    pairs = tree.query_pairs(2.0 * COALESCE_EPS, output_type="ndarray")
-    pairs = pairs[distance(points[pairs[:, 0]], points[pairs[:, 1]], domain) <= COALESCE_EPS]
-    if not pairs.shape[0]:
+    labels = (_run_labels if points.shape[1] == 1 else _tree_labels)(points, domain)
+    if labels is None:
         return points, weights, False
-    graph = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")  # by component, then index
     starts = np.cumsum(sizes) - sizes
@@ -228,6 +221,43 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str):
     if domain == TORUS:
         new_pts = wrap_torus(new_pts)
     return new_pts, new_wts, True
+
+
+def _tree_labels(points: np.ndarray, domain: str) -> np.ndarray | None:
+    """The ``COALESCE_EPS``-graph's component of each atom, numbered by lowest atom; None without an edge."""
+    n = points.shape[0]
+    if domain == TORUS:
+        tree = cKDTree(wrap_torus(points), boxsize=1.0)
+    else:
+        tree = cKDTree(points)
+    pairs = tree.query_pairs(2.0 * COALESCE_EPS, output_type="ndarray")
+    pairs = pairs[distance(points[pairs[:, 0]], points[pairs[:, 1]], domain) <= COALESCE_EPS]
+    if not pairs.shape[0]:
+        return None
+    graph = coo_array((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def _run_labels(points: np.ndarray, domain: str) -> np.ndarray | None:
+    """``_tree_labels`` in 1D.  Sorted by (wrapped) coordinate, atoms within eps
+    have every atom between them within eps of its neighbours, so the pairs
+    of neighbours, and of the last and the first (the torus seam; on the
+    line it only links atoms already linked), connect each component."""
+    n = points.shape[0]
+    order = np.argsort(wrap_torus(points[:, 0]) if domain == TORUS else points[:, 0],
+                       kind="stable")
+    link = distance(points[order], points[np.roll(order, -1)], domain) <= COALESCE_EPS
+    link[-1] &= n > 1  # a lone atom is no pair
+    if not link.any():
+        return None
+    run = np.concatenate(([0], np.cumsum(~link[:-1])))  # by sorted position
+    if link[-1]:
+        run[run == run[-1]] = 0
+    lowest = np.full(n, n)
+    np.minimum.at(lowest, run, order)
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = lowest[run]
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def _separated(points: np.ndarray, domain: str) -> bool:

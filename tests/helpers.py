@@ -133,3 +133,13 @@ def reference_measure_csv(mu) -> str:
     for row in range(mu.num_atoms):
         writer.writerow([repr(float(c)) for c in mu.points[row]] + [repr(float(mu.weights[row]))])
     return buf.getvalue()
+
+
+def assert_same_text(text: str, want: str) -> None:
+    """``text == want``, naming the first differing line first: pytest's diff
+    of two texts of thousands of lines takes minutes."""
+    lines, want_lines = text.splitlines(), want.splitlines()
+    first = next((k for k, pair in enumerate(zip(lines, want_lines)) if pair[0] != pair[1]), None)
+    assert first is None, f"line {first + 1}: {lines[first]!r}, expected {want_lines[first]!r}"
+    assert len(lines) == len(want_lines), f"{len(lines)} lines, expected {len(want_lines)}"
+    assert text == want

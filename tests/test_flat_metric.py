@@ -14,12 +14,15 @@ holds by strong duality.  The tests here hold the routes against each
 other and against closed forms.
 """
 import tracemalloc
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from helpers import random_positive, random_signed, random_sine_function
 import mvt.flat_metric
@@ -383,3 +386,93 @@ def test_torus_cut_reads_coordinates_modulo_one():
     wrapped = measure(raw.points, raw.weights, TORUS)
     assert fm_norm(raw).value == pytest.approx(fm_norm_oracle(raw), abs=1e-12)
     assert fm_norm(raw).value == pytest.approx(fm_norm(wrapped).value, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The chain DP's hand-over: a walk that would cross a whole side into an
+# empty other side takes that side over as it is.
+# ---------------------------------------------------------------------------
+
+def _chain_lp(x, w) -> float:
+    """The chain LP on the sorted atoms, by HiGHS at tight tolerances on w / max|w|.
+
+    Its default tolerances (1e-7) misjudge reduced costs built from
+    weights of 1e-8; at 1e-10 on scaled weights the optimal vertex is
+    exact to rounding.
+    """
+    order = np.argsort(x, kind="stable")
+    rows = np.arange(x.size - 1)
+    edges = scipy.sparse.csr_array(
+        (np.repeat([1.0, -1.0], rows.size), (np.tile(rows, 2), np.concatenate([order[:-1], order[1:]]))),
+        shape=(rows.size, x.size))
+    gaps = np.diff(x[order])
+    res = linprog(-w / np.abs(w).max(), A_ub=scipy.sparse.vstack([edges, -edges]),
+                  b_ub=np.concatenate([gaps, gaps]), bounds=(-1.0, 1.0), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(w @ res.x)
+
+
+def _chain_dp_checked(x, w) -> float:
+    """The DP's value, after checking that its f is feasible and attains it."""
+    value, f = _fm_chain_1d(x, w)
+    order = np.argsort(x, kind="stable")
+    assert np.all(np.abs(f) <= 1.0)
+    assert np.all(np.abs(np.diff(f[order])) <= np.diff(x[order]) + 1e-15)
+    assert float(w @ f) == pytest.approx(value, rel=1e-12)
+    return value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_dp_on_dipoles_with_a_gaussian_tail(seed):
+    """256 dipole pairs weighted by a Gaussian profile: consecutive nodes of
+    a transported density, whose walks carry a whole side of tail weights."""
+    rng = np.random.default_rng(seed)
+    centres = np.linspace(-2.1, 2.1, 256)
+    profile = np.exp(-centres ** 2 / 0.5)
+    profile /= profile.sum()
+    x = np.concatenate([centres + rng.uniform(5e-4, 2e-3, 256), centres])
+    w = np.concatenate([profile * rng.uniform(0.999, 1.001, 256), -profile])
+    assert _chain_dp_checked(x, w) == pytest.approx(_chain_lp(x, w), rel=1e-12)
+
+
+class _CountingDeque(deque):
+    reversals = 0
+
+    def reverse(self):
+        type(self).reversals += 1
+        super().reverse()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chain_dp_hands_over_on_alternating_growing_weights(seed, monkeypatch):
+    """Each weight, read right to left, outweighs all before it and has the
+    other sign, so every walk after the first hands its side over."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    x = np.sort(rng.uniform(0.0, 0.6, n))
+    k = np.arange(n)[::-1]
+    w = rng.choice([-1.0, 1.0]) * (-1.0) ** k * 2.5 ** k * rng.uniform(0.5, 1.0, n)
+    monkeypatch.setattr(mvt.flat_metric, "deque", _CountingDeque)
+    _CountingDeque.reversals = 0
+    value = _chain_dp_checked(x, w)
+    assert _CountingDeque.reversals == n - 1
+    assert value == pytest.approx(_chain_lp(x, w), rel=1e-12)
+    mu = DiscreteSignedMeasure(x[:, None], w)
+    assert value == pytest.approx(fm_norm_oracle(mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_dp_on_a_shifted_lattice_with_one_heavy_atom(seed):
+    """The shape of a long torus run with a source: a lattice minus its
+    shifted copy, weights from 4e-8 to 4e-4 and a sign change at every
+    step, plus one atom of weight 1."""
+    rng = np.random.default_rng(seed)
+    n = 600
+    lattice = np.arange(n) / n
+    profile = 4e-4 * np.exp(-((lattice - 0.5) / 0.1) ** 2) + 4e-8
+    x = np.concatenate([lattice, lattice + rng.uniform(0.1, 0.9) / n])
+    w = np.concatenate([profile, -profile * rng.uniform(0.9, 1.1, n)])
+    w[rng.integers(2 * n)] = 1.0
+    assert _chain_dp_checked(x, w) == pytest.approx(_chain_lp(x, w), rel=1e-12)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import reference_density_csv, reference_interpolate
+from helpers import assert_same_text, reference_density_csv, reference_interpolate
 from mvt.geometry import EUCLIDEAN, TORUS
 from mvt.grids import (
     GridError,
@@ -155,9 +155,9 @@ def test_density_csv_bytes_match_row_writer(p):
     vals.ravel()[:6] = [-0.0, 5e-324, 1e300, -1e300, 2.2250738585072014e-308, 1.0 / 3.0]
     vals.ravel()[_CSV_CHUNK_ROWS - 1 : _CSV_CHUNK_ROWS + 1] = [-0.0, 5e-324]
     u = grid_density([-1.5, 0.25], [2.0, 1.0 / 3.0], cells, vals, p)
-    assert density_to_csv(u) == reference_density_csv(u)
+    assert_same_text(density_to_csv(u), reference_density_csv(u))
     small = uniform_density([0.0], [1.0], 1, -0.0, p)
-    assert density_to_csv(small) == reference_density_csv(small)
+    assert_same_text(density_to_csv(small), reference_density_csv(small))
 
 
 def test_density_from_csv_names_bad_row():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvt.measures
-from helpers import random_signed, reference_measure_csv
+from helpers import assert_same_text, random_signed, reference_measure_csv
 from mvt.geometry import EUCLIDEAN, TORUS, distance, wrap_torus
 from mvt.grids import quantize, uniform_density
 from mvt.measures import (
@@ -191,9 +191,9 @@ def test_measure_csv_bytes_match_row_writer(dim):
     pts = rng.normal(size=(n, dim))
     pts[:3, 0] = [-0.0, 5e-324, 1e300]
     mu = DiscreteSignedMeasure(pts, wts, EUCLIDEAN)
-    assert measure_to_csv(mu) == reference_measure_csv(mu)
+    assert_same_text(measure_to_csv(mu), reference_measure_csv(mu))
     empty = empty_measure(dim)
-    assert measure_to_csv(empty) == reference_measure_csv(empty)
+    assert_same_text(measure_to_csv(empty), reference_measure_csv(empty))
 
 
 def test_csv_header_validation():
@@ -448,3 +448,49 @@ def test_merge_pass_bitwise_with_components_of_4_to_9(seed, dim, domain):
     assert got[2] is want[2] is True
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+def _line_clusters(rng, domain):
+    """1D atoms: lone ones, ties, a chain whose ends are more than eps
+    apart, and atoms at 0, 1e-13 and 1 - 1e-13, one cluster across the
+    torus seam; torus coordinates sometimes shifted out of [0, 1)."""
+    eps = COALESCE_EPS
+    steps = rng.uniform(0.5, 0.99, size=int(rng.integers(3, 9))) * eps
+    x = np.concatenate([
+        rng.uniform(0.0, 1.0, size=int(rng.integers(0, 30))),
+        np.full(int(rng.integers(2, 5)), rng.uniform(0.0, 1.0)),
+        rng.uniform(0.0, 1.0) + np.cumsum(steps),
+        [0.0, 1e-13, 1.0 - 1e-13],
+    ])
+    if domain == TORUS and rng.random() < 0.3:
+        x = x + rng.integers(-2, 3, size=x.size)
+    return rng.permutation(x)[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([EUCLIDEAN, TORUS]))
+def test_merge_pass_1d_runs_match_the_tree_bitwise(seed, domain):
+    """In 1D, runs of sorted atoms give the tree's labels and so its merge."""
+    rng = np.random.default_rng(seed)
+    pts = _line_clusters(rng, domain)
+    w = rng.uniform(-2.0, 2.0, size=pts.shape[0]) * 10.0 ** rng.integers(-6, 3, size=pts.shape[0])
+    labels = mvt.measures._run_labels(pts, domain)
+    np.testing.assert_array_equal(labels, mvt.measures._tree_labels(pts, domain))
+    got = mvt.measures._merge_pass(pts, w, domain)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mvt.measures, "_run_labels", mvt.measures._tree_labels)
+        want = mvt.measures._merge_pass(pts, w, domain)
+    assert got[2] is want[2] is True
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    wrapped = wrap_torus(pts[:, 0])
+    low, high = (int(np.argmin(np.abs(wrapped - v))) for v in (1e-13, 1.0 - 1e-13))
+    assert (labels[low] == labels[high]) == (domain == TORUS)  # joined across the seam
+
+
+@pytest.mark.parametrize("domain", [EUCLIDEAN, TORUS])
+def test_run_labels_without_an_edge_is_none(domain):
+    pts = np.array([[0.5], [0.1], [0.9], [0.3]])
+    assert mvt.measures._run_labels(pts, domain) is None
+    assert mvt.measures._tree_labels(pts, domain) is None
+    assert mvt.measures._run_labels(pts[:1], domain) is None
