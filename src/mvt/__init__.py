@@ -37,7 +37,6 @@ _EXPORTS = {
     "measure": "measures",
     "dirac": "measures",
     "empty_measure": "measures",
-    "constant_function": "measures",
     "coalesce": "measures",
     "tv_norm": "measures",
     "negative_part_tv": "measures",
@@ -86,6 +85,7 @@ _EXPORTS = {
     "ReactionContractError": "reactions",
     "ReactionSpec": "reactions",
     "eval_reaction": "reactions",
+    "eval_density_reaction": "reactions",
     "builtin_reaction": "reactions",
     "AssumptionReport": "reactions",
     "verify_assumptions": "reactions",

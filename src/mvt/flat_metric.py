@@ -23,7 +23,9 @@ are implied by the box).
 4. 1D torus: the cycle cut open at its largest gap and solved as a chain
    by the same DP; the result is the cycle's when it meets the closing
    edge, and otherwise the cycle goes on to the LP.
-5. The LP, by scipy's HiGHS, one two-sided row per edge.
+5. The LP, by scipy's HiGHS, one two-sided row per edge; the objective
+   is the weights over their max |w|, since HiGHS's absolute tolerances
+   stop short of the optimum on small weights.
 
 ``fm_norms`` routes each measure the same way and solves the LPs left
 over as the blocks of one block-diagonal LP, in one call: the blocks
@@ -302,7 +304,9 @@ def _fm_lp(blocks: list[_Block]) -> list[FlatNormResult]:
         shape=(i.size, n),
     )
     w = np.concatenate([b.w for b in blocks])
-    res = milp(-w, constraints=LinearConstraint(edges, -d, d), bounds=Bounds(-1.0, 1.0))
+    # each block over its own max |w|, positive: only mixed-sign measures get here
+    scaled = np.concatenate([b.w / np.max(np.abs(b.w)) for b in blocks])
+    res = milp(-scaled, constraints=LinearConstraint(edges, -d, d), bounds=Bounds(-1.0, 1.0))
     if res.status != 0 and len(blocks) > 1:
         return [_fm_lp([b])[0] for b in blocks]
     if res.status != 0:

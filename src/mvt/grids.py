@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -49,7 +50,7 @@ class GridDensity:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.cell_widths))
+        return math.prod(self.cell_widths.tolist())  # np.prod's product, without its overhead
 
     def axis_centers(self, axis: int) -> np.ndarray:
         w = self.cell_widths[axis]
@@ -113,7 +114,7 @@ def lp_norm(u: GridDensity, p: float | None = None) -> float:
 
 
 def mass(u: GridDensity) -> float:
-    return float(np.sum(u.values) * u.cell_volume)
+    return float(u.values.sum() * u.cell_volume)
 
 
 def quantize(u: GridDensity) -> DiscreteSignedMeasure:

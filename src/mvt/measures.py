@@ -113,16 +113,6 @@ class BoundedLipschitzFunction:
         return np.asarray(self.evaluate(np.asarray(points, dtype=float)), dtype=float)
 
 
-def constant_function(value: float) -> BoundedLipschitzFunction:
-    v = float(value)
-    return BoundedLipschitzFunction(
-        evaluate=lambda pts: np.full(pts.shape[0], v),
-        sup_bound=abs(v),
-        lip_bound=0.0,
-        name=f"const({v})",
-    )
-
-
 def measure(
     points: Sequence | np.ndarray,
     weights: Sequence | np.ndarray,
@@ -357,17 +347,12 @@ def linear_combine(
     return coalesce(DiscreteSignedMeasure(_readonly(pts), _readonly(wts), mu.domain))
 
 
-def _function_values(
-    g: BoundedLipschitzFunction | Callable[[np.ndarray], np.ndarray],
-    mu: DiscreteSignedMeasure,
-) -> np.ndarray:
-    """g at each atom of mu, as a flat array; errors on a wrong count or non-finite values."""
-    values = np.asarray(g(mu.points), dtype=float).reshape(-1)
-    if values.shape[0] != mu.num_atoms:
-        raise MeasureError("function returned wrong number of values")
-    if not np.all(np.isfinite(values)):
+def _scaled(weights: np.ndarray, factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """weights * factors and its kept entries, |w f| >= ``WEIGHT_EPS``; raises on a non-finite factor."""
+    if not np.isfinite(factors).all():
         raise MeasureError("function returned non-finite values on the support")
-    return values
+    out = weights * factors
+    return out, np.abs(out) >= WEIGHT_EPS
 
 
 def multiply_by_function(
@@ -377,8 +362,10 @@ def multiply_by_function(
     """Measure with weights w_i * g(x_i); errors on non-finite values."""
     if mu.num_atoms == 0:
         return mu
-    wts = mu.weights * _function_values(g, mu)
-    keep = np.abs(wts) >= WEIGHT_EPS
+    values = np.asarray(g(mu.points), dtype=float).reshape(-1)
+    if values.shape[0] != mu.num_atoms:
+        raise MeasureError("function returned wrong number of values")
+    wts, keep = _scaled(mu.weights, values)
     return DiscreteSignedMeasure(
         _readonly(mu.points[keep]), _readonly(wts[keep]), mu.domain
     )

@@ -18,11 +18,12 @@ analytic certificates consumed by the solver:
     for density-compatible reactions, a bound on the L^p norm of the
     reaction applied to densities with norm at most r.
 
-A rate constant in x, a function of t and the total mass only, may also
-set ``uniform_rate(times, masses)``: the same formula on arrays, one rate
-per node (a scalar broadcasts), so the solver rates a whole Picard sweep
-in one call; a rate without it is swept on measures.  The built-in
-rates derive ``rate`` from it.
+The rate is one formula ``rate(t, mass)`` of the time and the total
+mass, so it is constant in x.  It takes scalars, or arrays with one
+entry per node (a scalar result broadcasts), and it scales atoms
+(``eval_reaction``), a solver sweep's weight array, and a density's cell
+values (``eval_density_reaction``, where the production enters as
+``production_density``) through one rule, ``_rated``.
 
 Certificates are trusted inputs, exactly like velocity-field bounds;
 ``verify_assumptions`` spot-checks them by sampling.
@@ -37,13 +38,12 @@ import scipy.special
 
 from .grids import GridDensity, mass as density_mass, with_values
 from .measures import (
-    BoundedLipschitzFunction,
     DiscreteSignedMeasure,
-    constant_function,
+    _readonly,
+    _scaled,
     empty_measure,
     linear_combine,
     measure,
-    multiply_by_function,
     negative_part_tv,
     tv_norm,
 )
@@ -74,10 +74,22 @@ class ReactionSpec:
     l_f: Callable[[float], float]
     c_pos: Callable[[float, float], float]
     production: Callable[[float, DiscreteSignedMeasure], DiscreteSignedMeasure] | None = None
-    rate: Callable[[float, DiscreteSignedMeasure], BoundedLipschitzFunction] | None = None
+    rate: Callable[[float | np.ndarray, float | np.ndarray], float | np.ndarray] | None = None
     lp_bound: Callable[[float, float, float, float], float] | None = None
-    density_action: Callable[[float, GridDensity], GridDensity] | None = None
-    uniform_rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    production_density: Callable[[float, GridDensity], GridDensity] | None = None
+
+
+def _rated(rate: Callable, t, mass, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``measures._scaled`` of ``weights`` by ``rate(t, mass)``.
+
+    Scalar t and mass rate a whole measure or density; arrays rate row k
+    of a (nodes, atoms) weight array by entry k.  Empty weights come back
+    without a rate call.
+    """
+    if not weights.size:
+        return weights, np.zeros(weights.shape, dtype=bool)
+    r = np.asarray(rate(t, mass), dtype=float)
+    return _scaled(weights, r.reshape(r.shape + (1,) * (weights.ndim - r.ndim)))
 
 
 def eval_reaction(
@@ -93,7 +105,9 @@ def eval_reaction(
             )
         parts.append(prod)
     if spec.rate is not None:
-        parts.append(multiply_by_function(spec.rate(t, mu), mu))
+        wts, keep = _rated(spec.rate, t, mu.total_mass, mu.weights)
+        parts.append(DiscreteSignedMeasure(
+            _readonly(mu.points[keep]), _readonly(wts[keep]), mu.domain))
     if not parts:
         return empty_measure(mu.dim, mu.domain)
     if len(parts) == 1:
@@ -101,13 +115,21 @@ def eval_reaction(
     return linear_combine(1.0, parts[0], 1.0, parts[1])
 
 
-def _uniform(fn: Callable) -> dict:
-    """``rate`` and ``uniform_rate`` of a rate fn(t, mass) that is constant in x."""
-    return dict(rate=lambda t, mu: constant_function(fn(t, mu.total_mass)), uniform_rate=fn)
+def eval_density_reaction(spec: ReactionSpec, t: float, u: GridDensity) -> GridDensity:
+    """Density twin of ``eval_reaction``: production density plus F_t(u) * u.
 
-
-def _zero_density_action(t: float, u: GridDensity) -> GridDensity:
-    return with_values(u, np.zeros_like(u.values))
+    The rate reads the density's mass; no products are pruned on a grid.
+    """
+    parts: list[np.ndarray] = []
+    if spec.production is not None:
+        if spec.production_density is None:
+            raise ReactionContractError(f"reaction {spec.name!r} has no production density")
+        parts.append(spec.production_density(t, u).values)
+    if spec.rate is not None:
+        parts.append(_rated(spec.rate, t, density_mass(u), u.values)[0])
+    if not parts:
+        return with_values(u, np.zeros_like(u.values))
+    return with_values(u, parts[0] if len(parts) == 1 else parts[0] + parts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +221,6 @@ def builtin_reaction(
             l_f=lambda R: 0.0,
             c_pos=lambda R, T: 0.0,
             lp_bound=lambda p, r, t0, t1: 0.0,
-            density_action=_zero_density_action,
         )
     if name == "linear_rate":
         (c,) = params
@@ -208,17 +229,13 @@ def builtin_reaction(
             c_f=lambda R: abs(c) * R,
             l_f=lambda R: abs(c),
             c_pos=lambda R, T: abs(c),
-            **_uniform(lambda t, m: c),
+            rate=lambda t, m: c,
             lp_bound=lambda p, r, t0, t1: abs(c) * r,
-            density_action=lambda t, u: with_values(u, c * u.values),
         )
     if name == "logistic":
         r_rate, capacity = params
         if capacity <= 0:
             raise ValueError("logistic capacity must be positive")
-
-        def _logistic_density(t: float, u: GridDensity) -> GridDensity:
-            return with_values(u, r_rate * (1.0 - density_mass(u) / capacity) * u.values)
 
         def _logistic_lp(p: float, r: float, t0: float, t1: float) -> float:
             # On a box of volume V, mass <= V^(1/q) * ||phi||_p by Hoelder.
@@ -230,9 +247,8 @@ def builtin_reaction(
             c_f=lambda R: abs(r_rate) * (1.0 + R / capacity) * R,
             l_f=lambda R: abs(r_rate) * (1.0 + 2.0 * R / capacity),
             c_pos=lambda R, T: abs(r_rate) * (1.0 + R / capacity),
-            **_uniform(lambda t, m: r_rate * (1.0 - m / capacity)),
+            rate=lambda t, m: r_rate * (1.0 - m / capacity),
             lp_bound=_logistic_lp,
-            density_action=_logistic_density,
         )
     if name == "death_rate":
         (a,) = params
@@ -243,7 +259,8 @@ def builtin_reaction(
             c_f=lambda R: a * R,
             l_f=lambda R: a,
             c_pos=lambda R, T: a,
-            **_uniform(lambda t, m: -a),
+            rate=lambda t, m: -a,
+            lp_bound=lambda p, r, t0, t1: a * r,
         )
     if name == "dirac_source":
         sigma, *center = params
@@ -293,13 +310,10 @@ def builtin_reaction(
             c_pos=lambda R, T: 0.0,
             production=_bump_production,
             lp_bound=lambda p, r, t0, t1: _bump_lp_norm(sigma, width, dim, p),
-            density_action=_bump_density,
+            production_density=_bump_density,
         )
     if name == "mass_rate":
         (alpha,) = params
-
-        def _mass_density(t: float, u: GridDensity) -> GridDensity:
-            return with_values(u, alpha * density_mass(u) * u.values)
 
         def _mass_lp(p: float, r: float, t0: float, t1: float) -> float:
             vol_factor = domain_volume ** (1.0 / conjugate_exponent(p))
@@ -310,9 +324,8 @@ def builtin_reaction(
             c_f=lambda R: abs(alpha) * R * R,
             l_f=lambda R: 2.0 * abs(alpha) * R,
             c_pos=lambda R, T: abs(alpha) * R,
-            **_uniform(lambda t, m: alpha * m),
+            rate=lambda t, m: alpha * m,
             lp_bound=_mass_lp,
-            density_action=_mass_density,
         )
     raise ValueError(f"unknown reaction name {name!r}; expected one of {REACTION_NAMES}")
 
@@ -385,12 +398,9 @@ def verify_assumptions(
             violations.append(("l_f", t, lhs, rhs))
         if spec.rate is not None:
             pos = _random_measure_in_ball(rng, R, dim, positive=True)
-            rate_fn = spec.rate(t, pos)
             rate_checked += 1
             bound_rate = spec.c_pos(R, T)
-            observed = rate_fn.sup_bound
-            if pos.num_atoms:
-                observed = max(observed, float(np.max(np.abs(rate_fn(pos.points)))))
+            observed = abs(spec.rate(t, pos.total_mass))
             if observed > bound_rate * slack + 1e-12:
                 violations.append(("c_pos", t, observed, bound_rate))
         if len(violations) >= 25:

@@ -28,13 +28,13 @@ alike; iterates live on that grid as particle measures; flows
 advance node to node, so atoms produced at different nodes stay aligned
 across sweeps and coalesce exactly.
 A reaction with no production only rescales weights, so every iterate
-sits at node k on the transport curve's support.  When its rate, if it
-has one, is constant in x (``ReactionSpec.uniform_rate``), sweeps and
-Picard distances on separated supports in canonical order run as
-arithmetic on one (nodes, atoms) weight array, bitwise equal to the
-measure path, which takes over for the rest of an interval when a
-weight is pruned.  One ``uniform_rate`` call rates a whole sweep, and
-only a distance's mixed-sign rows become measures.
+sits at node k on the transport curve's support.  Its sweeps and Picard
+distances on separated supports in canonical order run as arithmetic
+on one (nodes, atoms) weight array, bitwise equal to the measure path,
+which takes over for the rest of an interval when a weight is pruned.
+One call of the rate ``rate(t, mass)`` on the node times and row masses
+rates a whole sweep, and only a distance's mixed-sign rows become
+measures.
 """
 from __future__ import annotations
 
@@ -50,14 +50,13 @@ from .grids import GridDensity, lp_norm, with_values
 from .measures import (
     WEIGHT_EPS,
     DiscreteSignedMeasure,
-    MeasureError,
     _gaps_clear,
     _readonly,
     linear_combine,
     negative_part_tv,
     tv_norm,
 )
-from .reactions import ReactionSpec, eval_reaction
+from .reactions import ReactionSpec, _rated, eval_density_reaction, eval_reaction
 from .transport import backward_characteristics, pushforward_measure, transported_values
 from .velocity import VelocityField
 
@@ -311,18 +310,17 @@ def _fixed_supports(
 ) -> _NodeWeights | None:
     """The transport curve as a ``_NodeWeights``, or None if sweeps need measures.
 
-    The reaction needs no production, and a rate only as ``uniform_rate``.
-    Every node needs a nonempty support in canonical order that
-    ``measures._separated`` clears, so that each ``linear_combine`` of
-    the measure path adds weights atom by atom; its gap rule runs on the
-    first coordinates as stored, which fails them out of ascending
-    order.  That adds 0.0 to the points; with neither rate nor shift
-    every sum is a concatenation, which does not.
+    The reaction needs no production.  Every node needs a nonempty
+    support in canonical order that ``measures._separated`` clears, so
+    that each ``linear_combine`` of the measure path adds weights atom by
+    atom; its gap rule runs on the first coordinates as stored, which
+    fails them out of ascending order.  That adds 0.0 to the points;
+    with neither rate nor shift every sum is a concatenation, which does
+    not.
     """
     nu, points = curve[0], [mu.points for mu in curve]
     if (
         spec.production is not None
-        or (spec.rate is not None and spec.uniform_rate is None)
         or not nu.num_atoms
         or not all(_gaps_clear(p[:, 0], p, nu.domain) for p in points)
     ):
@@ -339,17 +337,14 @@ def _sweep_weights(
     """``_sweep_measures`` on the weight array, or None where it would prune.
 
     Each step is the measure path's arithmetic on the same values, so the
-    result is bitwise equal.  All node rates come from one ``uniform_rate``
-    call on the row sums, which are ``total_mass`` row by row.
+    result is bitwise equal.  All node rates come from one rate call on
+    the node times and row sums, which are ``total_mass`` row by row.
     """
     w = curve.weights
     g = c * w  # with no rate and c = 0: zeros, which add nothing
-    if spec.rate is not None:  # _fixed_supports made sure uniform_rate is set
-        rates = np.broadcast_to(spec.uniform_rate(times, np.sum(w, axis=1)), (len(w),))
-        if not np.all(np.isfinite(rates)):  # as measures._function_values says it
-            raise MeasureError("function returned non-finite values on the support")
-        rated = w * rates[:, None]
-        if not np.all(np.abs(rated) >= WEIGHT_EPS):  # multiply_by_function's keep rule
+    if spec.rate is not None:
+        rated, keep = _rated(spec.rate, times, np.sum(w, axis=1), w)
+        if not np.all(keep):  # eval_reaction would prune
             return None
         g = rated + g
     if c != 0.0 and np.any(np.abs(g) < WEIGHT_EPS):
@@ -487,12 +482,11 @@ class _DensityPanels:
 def _sweep_density(
     spec: ReactionSpec, panels: _DensityPanels, curve_vals: Sequence[np.ndarray], c: float
 ) -> list[np.ndarray]:
-    """``_trapezoid`` on cell values; a reaction with no density action adds zeros."""
-    act, g = spec.density_action, []
+    """``_trapezoid`` on cell values, with g_j = f_{t_j}(u_j) + c u_j."""
+    g = []
     for t_j, vals_j in zip(panels.times, curve_vals):
-        u_j = replace(panels.grid, values=vals_j)
-        r = np.zeros_like(vals_j) if act is None else act(float(t_j), u_j).values
-        g.append(r + c * vals_j)
+        r = eval_density_reaction(spec, float(t_j), replace(panels.grid, values=vals_j))
+        g.append(r.values + c * vals_j)
     return _trapezoid(panels.times, curve_vals[0], g, c, panels.push, _axpby)
 
 
@@ -519,9 +513,9 @@ def _fixed_point(
     dens_vals: list[np.ndarray] | None = None
     dens_tol = math.inf
     if u0 is not None:
-        if (spec.production is not None or spec.rate is not None) and spec.density_action is None:
+        if spec.production is not None and spec.production_density is None:
             raise SolverError(
-                f"reaction {spec.name!r} has no density action; cannot co-evolve a density"
+                f"reaction {spec.name!r} has no production density; cannot co-evolve a density"
             )
         panels = _DensityPanels(v, u0, times, h)
         dens_vals = _transport_curve(times, panels.push, u0.values)

@@ -437,6 +437,27 @@ def test_chain_dp_on_dipoles_with_a_gaussian_tail(seed):
     assert _chain_dp_checked(x, w) == pytest.approx(_chain_lp(x, w), rel=1e-12)
 
 
+def test_lp_route_exact_on_small_weights():
+    """Six node differences of lp_contraction's shape: 256 Gaussian cell
+    weights (6e-8 to 1.6e-2) moved by the contracting flow x e^{-0.8 t}
+    against themselves.  HiGHS reads such small weights about 5e-8 low
+    unless each block's objective is scaled to max |w| = 1.  The chain
+    edge set keeps the LP small; the 2D route builds a larger block of
+    the same kind."""
+    centres = -3.0 + 6.0 * (np.arange(256) + 0.5) / 256
+    cell = np.exp(-0.5 * (centres / 0.6) ** 2) * (6.0 / 256) / (0.6 * np.sqrt(2.0 * np.pi))
+    w = np.concatenate([cell, -cell])
+    blocks, exact = [], []
+    for t in 0.0625 * np.arange(6):
+        x = np.concatenate([centres * np.exp(-0.8 * (t + 0.0625)), centres * np.exp(-0.8 * t)])
+        order = np.argsort(x, kind="stable")
+        blocks.append(_Block(w, order[:-1], order[1:], np.diff(x[order])))
+        exact.append(_chain_dp_checked(x, w))
+    for res, value in zip(_fm_lp(blocks), exact):
+        assert res.status == STATUS_OPTIMAL
+        assert res.value == pytest.approx(value, rel=1e-8)
+
+
 class _CountingDeque(deque):
     reversals = 0
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from mvt import measures, solver
+import mvt
+from mvt import cli, flow, geometry, grids, measures, reactions, scenarios, solver, transport
+from mvt.velocity import VelocityField
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "mvt").glob("*.py"))
@@ -72,10 +74,32 @@ def test_no_unreferenced_private_definitions():
     assert not stranded, "private and never referenced:\n" + "\n".join(stranded)
 
 
+def test_every_export_resolves():
+    # a stale entry in the lazy export table breaks ``from mvt import *``
+    missing = [name for name in mvt.__all__ if not hasattr(mvt, name)]
+    assert not missing, f"mvt.__all__ names with no definition: {missing}"
+
+
 def test_benchmark_tracer_hooks_exist():
-    # perfbench/tracer.py binds these by name and, if one is gone, only
-    # warns and reads 0 for its counters; its self-test checks fm_norm
-    for module, name in [(solver, "_sweep_measures"), (solver, "_curve_distance"),
-                         (measures, "_merge_pass"), (solver, "fm_norm")]:
-        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    # perfbench/tracer.py binds these by name.  A missing public one makes
+    # ``Tracer.install`` fail, and with it every traced benchmark run; a
+    # missing private one only warns and reads 0 for its counters.  Its
+    # self-test checks fm_norm.
+    hooks = {
+        reactions: ["eval_reaction"],
+        transport: ["pushforward_measure"],
+        measures: ["linear_combine", "coalesce", "_merge_pass"],
+        flow: ["advect", "advect_with_logjac", "lipschitz_bound", "simpson_integral"],
+        grids: ["interpolate"],
+        geometry: ["pairwise_distances"],
+        scenarios: ["bundled_scenario", "parse_scenario"],
+        cli: ["run_simulate", "run_metric"],
+        solver: ["solve_maximal", "choose_step", "solve_interval", "_sweep_measures",
+                 "_curve_distance", "fm_norm"],
+    }
+    for module, names in hooks.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for name in ("__call__", "sup_bound"):
+        assert callable(vars(VelocityField).get(name)), f"VelocityField.{name}"
     assert "__len__" in vars(solver._NodeWeights)  # node_sweeps counts len(new)

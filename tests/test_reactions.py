@@ -9,6 +9,8 @@ from mvt import flat_metric
 from mvt.flat_metric import fm_norm
 from mvt.grids import lp_norm, quantize, uniform_density
 from mvt.measures import (
+    WEIGHT_EPS,
+    MeasureError,
     dirac,
     empty_measure,
     linear_combine,
@@ -21,6 +23,7 @@ from mvt.reactions import (
     ReactionContractError,
     ReactionSpec,
     builtin_reaction,
+    eval_density_reaction,
     eval_reaction,
     verify_assumptions,
 )
@@ -33,23 +36,29 @@ UNIFORM_RATES = [("linear_rate", [1.5]), ("logistic", [1.0, 2.0]), ("death_rate"
 
 @pytest.mark.parametrize("name,params", UNIFORM_RATES)
 def test_uniform_rate_is_the_rate_bitwise(name, params):
-    # one call on all (time, mass) pairs gives each measure's rate, bit for bit
+    # one call on all (time, mass) pairs gives each measure's scalar rate,
+    # bit for bit, and eval_reaction scales the weights by it
     spec = builtin_reaction(name, params)
     rng = np.random.default_rng(3)
     mus = [measure(rng.uniform(-1.0, 1.0, (n, 1)), rng.normal(0.0, 1.0, n))
            for n in (1, 3, 9, 40)]
     times = rng.uniform(0.0, 1.0, len(mus))
     masses = np.array([mu.total_mass for mu in mus])
-    rates = np.broadcast_to(spec.uniform_rate(times, masses), (len(mus),))
+    rates = np.broadcast_to(spec.rate(times, masses), (len(mus),))
     for t, mu, r in zip(times, mus, rates):
-        values = spec.rate(float(t), mu)(mu.points)
-        assert values.tobytes() == np.full(mu.num_atoms, r).tobytes()
+        rate = spec.rate(float(t), mu.total_mass)
+        assert np.float64(rate).tobytes() == r.tobytes()
+        out = eval_reaction(spec, float(t), mu)
+        scaled = mu.weights * rate
+        keep = np.abs(scaled) >= WEIGHT_EPS
+        assert out.weights.tobytes() == scaled[keep].tobytes()
+        assert out.points.tobytes() == mu.points[keep].tobytes()
 
 
 def test_uniform_rate_only_on_rates_constant_in_space():
     for name, params in [("zero", []), ("dirac_source", [0.3, 0.0]),
                          ("smoothed_source", [0.5, 0.1, 0.0])]:
-        assert builtin_reaction(name, params).uniform_rate is None
+        assert builtin_reaction(name, params).rate is None
 
 
 def test_builtin_names_complete():
@@ -80,7 +89,8 @@ def test_zero_reaction():
     mu = dirac(0.0, 2.0)
     assert eval_reaction(spec, 0.0, mu).num_atoms == 0
     assert spec.c_f(5.0) == 0.0 and spec.l_f(5.0) == 0.0
-    assert spec.density_action is not None
+    u = uniform_density([0.0], [1.0], 8, 0.5, 2.0)
+    assert np.all(eval_density_reaction(spec, 0.0, u).values == 0.0)
 
 
 def test_linear_rate_is_c_mu():
@@ -110,7 +120,10 @@ def test_death_rate_drains():
     out = eval_reaction(spec, 0.0, mu)
     assert out.total_mass == pytest.approx(-1.4)
     assert spec.production is None
-    assert spec.density_action is None
+    assert spec.production_density is None
+    u = uniform_density([0.0], [1.0], 8, 0.5, 2.0)
+    du = eval_density_reaction(spec, 0.0, u)
+    assert lp_norm(du) == pytest.approx(spec.lp_bound(2.0, lp_norm(u), 0.0, 1.0), rel=1e-12)
 
 
 def test_dirac_source_constant():
@@ -138,10 +151,10 @@ def test_smoothed_source_bump():
     assert out.total_mass == pytest.approx(0.5)
     # all atoms inside the bump support
     assert np.all(np.abs(out.points[:, 0] - 0.5) <= 0.1 + 1e-12)
-    assert spec.density_action is not None
+    assert spec.production_density is not None
     # analytic L^p certificate matches the continuum profile norm
     u = uniform_density([0.0], [1.0], 2048, 0.0, 2.0)
-    du = spec.density_action(0.0, u)
+    du = eval_density_reaction(spec, 0.0, u)
     assert lp_norm(du) <= spec.lp_bound(2.0, 0.0, 0.0, 1.0) * 1.001
     assert lp_norm(du) == pytest.approx(spec.lp_bound(2.0, 0.0, 0.0, 1.0), rel=2e-3)
 
@@ -248,13 +261,14 @@ def test_dilated_reaction_positive(name, params):
 
 @pytest.mark.parametrize(
     "name,params",
-    [("zero", []), ("linear_rate", [1.5]), ("logistic", [1.0, 2.0]), ("smoothed_source", [0.5, 0.15, 0.0])],
+    [("zero", []), ("linear_rate", [1.5]), ("logistic", [1.0, 2.0]),
+     ("smoothed_source", [0.5, 0.15, 0.0]), ("death_rate", [0.8]), ("mass_rate", [0.6])],
 )
 def test_density_action_weakly_consistent(name, params):
-    """Quantized density_action approximates eval_reaction on atoms."""
+    """Quantized eval_density_reaction approximates eval_reaction on atoms."""
     spec = builtin_reaction(name, params, domain_volume=2.0)
     u = uniform_density([-1.0], [1.0], 512, 0.75, 2.0)
-    via_density = quantize(spec.density_action(0.0, u))
+    via_density = quantize(eval_density_reaction(spec, 0.0, u))
     via_atoms = eval_reaction(spec, 0.0, quantize(u))
     gap = fm_norm(linear_combine(1.0, via_density, -1.0, via_atoms)).value
     # quantization error is O(cell width) * reacted mass
@@ -266,6 +280,24 @@ def test_density_action_weakly_consistent(name, params):
 def test_logistic_density_action_uses_density_mass():
     spec = builtin_reaction("logistic", [1.0, 2.0], domain_volume=2.0)
     u = uniform_density([-1.0], [1.0], 128, 0.5, 2.0)  # mass 1.0
-    out = spec.density_action(0.0, u)
+    out = eval_density_reaction(spec, 0.0, u)
     # r (1 - m/K) u = 1 * (1 - 0.5) * u
     np.testing.assert_allclose(out.values, 0.25, atol=1e-12)
+
+
+def test_density_reaction_needs_a_production_density():
+    spec = builtin_reaction("dirac_source", [0.3, 0.0])
+    u = uniform_density([-1.0], [1.0], 8, 0.5, 2.0)
+    with pytest.raises(ReactionContractError, match="'dirac_source' has no production density"):
+        eval_density_reaction(spec, 0.0, u)
+
+
+def test_non_finite_rate_raises_on_atoms_and_densities():
+    spec = ReactionSpec(name="nan", c_f=lambda R: 0.0, l_f=lambda R: 0.0,
+                        c_pos=lambda R, T: 0.0, rate=lambda t, m: np.nan)
+    message = "^function returned non-finite values on the support$"
+    with pytest.raises(MeasureError, match=message):
+        eval_reaction(spec, 0.0, dirac(0.0, 1.0))
+    with pytest.raises(MeasureError, match=message):
+        eval_density_reaction(spec, 0.0, uniform_density([-1.0], [1.0], 8, 0.5, 2.0))
+    assert eval_reaction(spec, 0.0, empty_measure(1)).num_atoms == 0  # no rate call

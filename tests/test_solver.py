@@ -12,11 +12,10 @@ from mvt import solver
 from mvt.flat_metric import fm_distance
 from mvt.flow import advect, default_step
 from mvt.geometry import TORUS
-from mvt.grids import lp_norm, quantize, uniform_density
+from mvt.grids import lp_norm, mass, quantize, uniform_density
 from mvt.measures import (
     DiscreteSignedMeasure,
     MeasureError,
-    constant_function,
     dirac,
     empty_measure,
     linear_combine,
@@ -618,13 +617,12 @@ def test_uniform_rate_sweeps_match_per_node_rates_bitwise(reaction, shift):
 
 
 def test_uniform_rate_non_finite_raises_as_per_node_rate():
-    # rates turn NaN after t = 0.1: the one uniform_rate call of an array
-    # sweep raises the error the measure path's per-node rate raises
+    # rates turn NaN after t = 0.1: the one rate call of an array sweep
+    # raises the error the measure path's per-node rate raises
     def fn(t, m):
         return np.where(t > 0.1, np.nan, m)
 
-    spec = dataclasses.replace(builtin_reaction("logistic", [1.0, 2.0]), uniform_rate=fn,
-                               rate=lambda t, mu: constant_function(fn(t, mu.total_mass)))
+    spec = dataclasses.replace(builtin_reaction("logistic", [1.0, 2.0]), rate=fn)
     v = builtin_field("constant", [0.3], 1)
     nu = measure([[0.0], [0.5]], [1.0, 0.5])
     message = "function returned non-finite values on the support"
@@ -640,16 +638,6 @@ def test_uniform_rate_non_finite_raises_as_per_node_rate():
 
     fast, slow, on_arrays = _both_paths(run)
     assert on_arrays == [] and fast == slow == (MeasureError, message)
-
-
-def test_rate_without_uniform_rate_sweeps_on_measures():
-    spec = builtin_reaction("logistic", [1.0, 2.0])
-    v = builtin_field("constant", [0.3], 1)
-    times = np.linspace(0.0, 0.2, 9)
-    push = solver._panel_push(v, times, default_step(0.2))
-    curve = solver._transport_curve(times, push, measure([[0.0], [0.5]], [1.0, 0.5]))
-    assert solver._fixed_supports(spec, curve, 0.0) is not None
-    assert solver._fixed_supports(dataclasses.replace(spec, uniform_rate=None), curve, 0.0) is None
 
 
 def _pruned_rows(rng, n, domain, big):
@@ -774,6 +762,30 @@ def test_maximal_density_blowup_flagged(monkeypatch):
     assert len(traj.densities) == len(traj.times)
     assert traj.lp_norm[-1] > threshold
     assert np.all(traj.lp_norm[:-1] <= threshold)
+
+
+def test_death_rate_co_evolves_a_density():
+    # f = -a u on a still density: the L^p norm decays like e^{-a t} up
+    # to the trapezoid's relative error a^3 ds^2 t / 12 (1.2e-4 at ds =
+    # 1/48), and the density's mass is the atoms' mass
+    a = 1.5
+    spec = builtin_reaction("death_rate", [a])
+    u0 = uniform_density([-1.0], [1.0], 16, 0.75, 2.0)
+    config = SolverConfig(quad_nodes=17)
+    traj = solve_maximal(spec, zero_field(1), quantize(u0), 0.0, 1.0, config, initial_density=u0)
+    assert traj.reached_horizon and len(traj.densities) == len(traj.times)
+    exact = lp_norm(u0) * np.exp(-a * traj.times)
+    np.testing.assert_allclose(traj.lp_norm, exact, rtol=2e-4, atol=0.0)
+    for mu, u in zip(traj.measures, traj.densities):
+        assert mass(u) == pytest.approx(mu.total_mass, rel=1e-12)
+
+
+def test_density_needs_a_production_density():
+    spec = builtin_reaction("dirac_source", [0.5, 0.7])
+    u0 = uniform_density([-1.0], [1.0], 8, 0.75, 2.0)
+    with pytest.raises(SolverError, match="'dirac_source' has no production density"):
+        solve_maximal(spec, zero_field(1), dirac(0.2, 1.0), 0.0, 0.5, SolverConfig(),
+                      initial_density=u0)
 
 
 def test_maximal_max_interval_tau_restarts():
