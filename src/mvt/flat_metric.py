@@ -22,8 +22,12 @@ are implied by the box).
    hands that side over instead of moving it entry by entry.
 4. 1D torus: the cycle cut open at its largest gap and solved as a chain
    by the same DP; the result is the cycle's when it meets the closing
-   edge, and otherwise the cycle goes on to the LP.
-5. The LP, by scipy's HiGHS, one two-sided row per edge; the objective
+   edge, and otherwise the cycle goes on to route 5.
+5. 2D, 3D and the torus cycle left by route 4: a test function and a
+   transport plan of equal value, matched on the block's own edges; when
+   the function meets every edge, weak duality makes both optimal, and
+   otherwise the block goes on to the LP unchanged.
+6. The LP, by scipy's HiGHS, one two-sided row per edge; the objective
    is the weights over their max |w|, since HiGHS's absolute tolerances
    stop short of the optimum on small weights.
 
@@ -85,8 +89,9 @@ def fm_norm(mu: DiscreteSignedMeasure) -> FlatNormResult:
 def fm_norms(mus: list[DiscreteSignedMeasure]) -> list[FlatNormResult]:
     """``fm_norm`` of each measure, with the LPs left among them in one HiGHS call.
 
-    Measures that never need an LP (at most one atom, or 1D Euclidean) go
-    through ``fm_norm`` itself, where perfbench's tracer counts them.
+    Measures that never form a block (at most one atom, or 1D Euclidean)
+    go through ``fm_norm`` itself, where perfbench's tracer counts them;
+    the rest take routes 1-5 here, so only uncertified blocks reach HiGHS.
     """
     routed = [_route(mu) if mu.num_atoms > 1 and (mu.dim > 1 or mu.domain != EUCLIDEAN)
               else fm_norm(mu) for mu in mus]
@@ -95,7 +100,7 @@ def fm_norms(mus: list[DiscreteSignedMeasure]) -> list[FlatNormResult]:
 
 
 def _route(mu: DiscreteSignedMeasure) -> FlatNormResult | _Block:
-    """Routes 1-4 of the module docstring: the exact result, or the block route 5 solves."""
+    """Routes 1-5 of the module docstring: the exact result, or the block route 6 solves."""
     if mu.num_atoms == 0:
         return FlatNormResult(0.0, np.zeros(0), STATUS_OPTIMAL)
     w = np.asarray(mu.weights, dtype=float)
@@ -113,10 +118,12 @@ def _route(mu: DiscreteSignedMeasure) -> FlatNormResult | _Block:
         value, f = _fm_chain_1d(mu.points[:, 0], w)
         return FlatNormResult(value, f, STATUS_OPTIMAL)
     if mu.dim == 1:
-        return _torus_cut(mu.points, w)
-    dist = pairwise_distances(mu.points, mu.domain)
-    i, j = np.nonzero(np.triu(dist < _PRUNE_AT - 1e-12, k=1))
-    return _Block(w, i, j, dist[i, j])
+        routed = _torus_cut(mu.points, w)
+    else:
+        dist = pairwise_distances(mu.points, mu.domain)
+        i, j = np.nonzero(np.triu(dist < _PRUNE_AT - 1e-12, k=1))
+        routed = _Block(w, i, j, dist[i, j])
+    return routed if isinstance(routed, FlatNormResult) else _matched_pair(routed)
 
 
 def fm_distance(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> float:
@@ -285,7 +292,41 @@ def _torus_cut(points: np.ndarray, w: np.ndarray) -> FlatNormResult | _Block:
 
 
 # ---------------------------------------------------------------------------
-# Route 5: sparse LP on the geometry's edge set, solved by HiGHS.
+# Route 5: a matched primal-dual pair on the block's edges.
+#
+# The flat norm's dual is transport with a ground node: mass ships at
+# cost d, and is created or destroyed at cost 1 (Hanin 1992; Piccoli &
+# Rossi 2014).  Two opposite-sign atoms pair when their edge is, in a
+# stable sort by length, the first opposite-sign edge of both.  The plan
+# ships the lighter |w| across d and grounds all the rest; f puts the
+# heavier atom (the positive one on a tie, so that equal pairs orient
+# alike) at its sign s, the lighter at s * (1 - d) and every other atom
+# at its sign, so w_i f_i is the plan's cost atom by atom.  d < 2 keeps f
+# in the box; if f meets every edge to rounding, both are optimal.
+# ---------------------------------------------------------------------------
+
+def _matched_pair(block: _Block) -> FlatNormResult | _Block:
+    w, i, j, d = block
+    s = np.sign(w)
+    opposite = np.flatnonzero(s[i] * s[j] < 0.0)
+    edges = opposite[np.argsort(d[opposite], kind="stable")]
+    ends = np.column_stack([i[edges], j[edges]])
+    first = np.full(w.size, -1)
+    atoms, at = np.unique(ends.ravel(), return_index=True)
+    first[atoms] = at // 2  # each atom's shortest opposite-sign edge, by rank
+    rank = np.arange(edges.size)
+    mutual = (first[ends[:, 0]] == rank) & (first[ends[:, 1]] == rank)
+    a, b = ends[mutual].T
+    light = np.where((np.abs(w[a]) < np.abs(w[b])) | ((w[a] == -w[b]) & (w[a] < 0.0)), a, b)
+    f = s.copy()
+    f[light] = -s[light] * (1.0 - d[edges[mutual]])
+    if np.all(np.abs(f[i] - f[j]) <= d + 4.0 * np.finfo(float).eps):
+        return FlatNormResult(float(w @ f), f, STATUS_OPTIMAL)
+    return block
+
+
+# ---------------------------------------------------------------------------
+# Route 6: sparse LP on the geometry's edge set, solved by HiGHS.
 # ---------------------------------------------------------------------------
 
 def _fm_lp(blocks: list[_Block]) -> list[FlatNormResult]:

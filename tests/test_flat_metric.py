@@ -5,13 +5,16 @@ measure of one sign has its TV as flat norm.  1D euclidean measures go
 through an exact chain recursion over consecutive atoms, and the 1D torus
 through the same recursion on the cycle cut open at its largest gap,
 whenever the chain optimum meets the closing edge.  Everything else is
-one sparse HiGHS LP on the geometry's edge set: the sorted atoms joined
-in a cycle on the 1D torus (the shorter arc between two atoms passes
+one sparse block on the geometry's edge set: the sorted atoms joined in
+a cycle on the 1D torus (the shorter arc between two atoms passes
 through the atoms in between, so the cycle implies every pair), all
-pairs closer than 2 in 2D and 3D.  The oracle solves the dual, a
-min-cost transshipment over all pairs with a ground node, so agreement
-holds by strong duality.  The tests here hold the routes against each
-other and against closed forms.
+pairs closer than 2 in 2D and 3D.  A block is settled by a matched
+test function and transport plan when the pair's f meets every edge,
+and otherwise by one HiGHS LP.  The oracle solves the dual, a min-cost
+transshipment over all pairs with a ground node, so agreement holds by
+strong duality.  The tests here hold the routes against each other and
+against closed forms; a test that compares with the LP counts the HiGHS
+calls, so that its coverage cannot pass to the matched pair unseen.
 """
 import tracemalloc
 from collections import deque
@@ -31,6 +34,7 @@ from mvt.flat_metric import (
     _Block,
     _fm_chain_1d,
     _fm_lp,
+    _torus_cut,
     fm_distance,
     fm_norm,
     fm_norm_oracle,
@@ -46,6 +50,8 @@ from mvt.measures import (
     multiply_by_function,
     tv_norm,
 )
+from mvt.scenarios import bundled_scenario
+from mvt.solver import solve_maximal
 
 
 def test_empty_and_single_atom():
@@ -141,7 +147,9 @@ def test_chain_matches_simplex_via_planar_embedding(seed):
         planar = measure(
             np.column_stack([mu.points[:, 0], np.zeros(mu.num_atoms)]), mu.weights
         )
-        chain, lp = fm_norm(mu), fm_norm(planar)
+        with _counting_milp() as milp_calls:
+            chain, lp = fm_norm(mu), fm_norm(planar)
+        assert len(milp_calls) == 1, family  # the planar block reached HiGHS
         assert lp.status == STATUS_OPTIMAL
         assert lp.value == pytest.approx(chain.value, abs=1e-8), family
         _certificate_ok(mu, chain)
@@ -338,7 +346,10 @@ def _cycle_lp(mu):
     order = np.argsort(mu.points[:, 0], kind="stable")
     nxt = np.roll(order, -1)
     d = distance(mu.points[order], mu.points[nxt], TORUS)
-    return _fm_lp([_Block(np.asarray(mu.weights), order, nxt, d)])[0]
+    with _counting_milp() as milp_calls:
+        res = _fm_lp([_Block(np.asarray(mu.weights), order, nxt, d)])[0]
+    assert len(milp_calls) == 1
+    return res
 
 
 @pytest.mark.parametrize("family", ["uniform", "two_atoms", "antipodal", "tied", "binding"])
@@ -386,6 +397,85 @@ def test_torus_cut_reads_coordinates_modulo_one():
     wrapped = measure(raw.points, raw.weights, TORUS)
     assert fm_norm(raw).value == pytest.approx(fm_norm_oracle(raw), abs=1e-12)
     assert fm_norm(raw).value == pytest.approx(fm_norm(wrapped).value, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The matched pair: a test function and a transport plan of equal value,
+# which certify each other without HiGHS when the function meets every edge.
+# ---------------------------------------------------------------------------
+
+def _mixed_support(rng, n, dim, domain):
+    """n atoms of both signs, half the weights rounded to 0.1 so that ties occur."""
+    span = (0.0, 1.0) if domain == TORUS else (-1.0, 1.0)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    sign[rng.choice(n, size=2, replace=False)] = [1.0, -1.0]
+    w = rng.uniform(0.1, 1.0, size=n)
+    w = np.where(rng.random(n) < 0.5, np.round(w, 1), w)
+    return measure(rng.uniform(*span, size=(n, dim)), sign * w, domain)
+
+
+@pytest.mark.parametrize("dim, domain", [(2, EUCLIDEAN), (3, EUCLIDEAN), (1, TORUS)])
+def test_matched_pair_or_lp_matches_oracle(dim, domain):
+    """Every block that reaches route 5 is settled by the matched pair (no
+    HiGHS call) or by one LP, and either way agrees with the dual oracle."""
+    rng = np.random.default_rng(dim)
+    by_calls = [0, 0]  # blocks the matched pair settled, blocks HiGHS solved
+    while sum(by_calls) < 120:
+        mu = _mixed_support(rng, int(rng.integers(2, 9)), dim, domain)
+        lp_bound = dim > 1 or isinstance(_torus_cut(mu.points, np.asarray(mu.weights)), _Block)
+        with _counting_milp() as milp_calls:
+            res = fm_norm(mu)
+        assert len(milp_calls) <= int(lp_bound)
+        if lp_bound:
+            by_calls[len(milp_calls)] += 1
+        assert res.status == STATUS_OPTIMAL
+        assert res.value == pytest.approx(fm_norm_oracle(mu), rel=1e-12, abs=0.0)
+        _certificate_ok(mu, res)
+    assert min(by_calls) > 0, by_calls
+
+
+def test_matched_pair_rejects_a_tripole():
+    """-1, +2, -1 at spacing 0.1: the heavy middle atom needs both
+    neighbours, so the pair's f breaks the unpaired edge and HiGHS runs."""
+    tripole = measure([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]], [-1.0, 2.0, -1.0])
+    with _counting_milp() as milp_calls:
+        res = fm_norm(tripole)
+    assert len(milp_calls) == 1
+    assert res.value == pytest.approx(0.2, rel=1e-12)  # each end ships 1 across 0.1
+    assert res.value == pytest.approx(fm_norm_oracle(tripole), rel=1e-12)
+    _certificate_ok(tripole, res)
+
+
+def test_matched_pair_certifies_an_equal_weight_ring():
+    """ring_rotation's node difference: twelve atoms of 1/6 on a ring of
+    radius 0.5, minus the ring turned by pi/32.  Every pair ties on weight;
+    with the positive atom as the heavier one, all pairs orient alike, and
+    the sorted atom order mixes which end of an edge comes first."""
+    angles = 2.0 * np.pi * np.arange(12) / 12
+
+    def ring(theta):
+        return 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
+
+    mu = measure(np.vstack([ring(angles), ring(angles + np.pi / 32)]),
+                 np.repeat([1.0 / 6, -1.0 / 6], 12))
+    with _counting_milp() as milp_calls:
+        res = fm_norm(mu)
+    assert not milp_calls
+    assert res.value == pytest.approx(2.0 * np.sin(np.pi / 64), rel=1e-12)  # 12 chords of 1/6
+    _certificate_ok(mu, res)
+
+
+@pytest.mark.parametrize("name", ["ring_rotation", "death_shear", "lp_rotation"])
+def test_bundled_step_distances_solve_no_lp(name):
+    """The three bundled scenarios whose node differences used to reach HiGHS
+    (16, 128 and 8 calls) are all settled by the matched pair."""
+    sc = bundled_scenario(name)
+    with _counting_milp() as milp_calls:
+        traj = solve_maximal(sc.reaction, sc.velocity, sc.initial, sc.t0, sc.horizon,
+                             sc.solver, initial_density=sc.density)
+    assert traj.reached_horizon
+    assert np.all(traj.fm_step_distance[1:] > 0.0)
+    assert not milp_calls
 
 
 # ---------------------------------------------------------------------------

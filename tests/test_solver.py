@@ -867,10 +867,14 @@ def test_maximal_rejects_bad_horizon():
 def test_curve_distance_names_the_node_whose_lp_fails(monkeypatch):
     """A failed batch is re-solved block by block; the failing block's node is named."""
     rng = np.random.default_rng(5)
-    # mixed signs, so that no block has the one-sign shortcut and each reaches the LP
-    new = [measure(rng.uniform(-1.0, 1.0, size=(n, 2)),
-                   rng.uniform(0.5, 1.0, size=n) * (-1.0) ** np.arange(n))
-           for n in (3, 3, 5, 3)]
+    # rows of -1, +2, ..., +2, -1 at spacing 0.1: each heavy inner atom needs
+    # both neighbours, so no matched pair certifies a block and each reaches the LP
+    new = []
+    for n in (3, 3, 5, 3):
+        w = 2.0 * (-1.0) ** np.arange(1, n + 1)
+        w[[0, -1]] = -1.0
+        new.append(measure(rng.uniform(-1.0, 1.0, size=2) + 0.1 * np.outer(np.arange(n), [1.0, 0.0]), w))
+    assert all(isinstance(mvt.flat_metric._route(mu), mvt.flat_metric._Block) for mu in new)
     old = [empty_measure(2)] * len(new)
     milp, sizes = mvt.flat_metric.milp, []
 
