@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (a detected blow-up is a valid scientific outcome
 and still exits 0, with the flag printed), 1 failed verification
-checks, 2 configuration/usage errors, 3 solver failure (the Picard
-iteration did not contract, or a flat-norm LP could not certify its
-value); ``simulate`` still writes the intervals finished before the
-failure.
+checks, 2 configuration/usage errors (for ``simulate`` also an output
+directory it cannot create, checked before the solve), 3 solver failure
+(the Picard iteration did not contract, or a flat-norm LP could not
+certify its value); ``simulate`` still writes the intervals finished
+before the failure.
 """
 from __future__ import annotations
 
@@ -80,8 +81,8 @@ def _snapshot_indices(n_nodes: int, snapshots: int) -> np.ndarray:
 
 
 def _write_outputs(out_dir: Path, traj, snapshots: int) -> int:
-    """Write trajectory.csv and the snapshots; returns the snapshot count."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write trajectory.csv and the snapshots into the existing ``out_dir``;
+    returns the snapshot count."""
     write_trajectory_csv(out_dir / "trajectory.csv", traj)
     indices = _snapshot_indices(len(traj.times), snapshots)
     manifest = out_dir / "snapshots.csv"
@@ -106,6 +107,12 @@ def run_simulate(config_path: str, out: str | None) -> int:
         print(f"mvt simulate: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(out) if out is not None else Path(scenario.name)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"mvt simulate: cannot create output directory {out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     try:
         traj = solve_maximal(
             scenario.reaction,

@@ -31,10 +31,8 @@ are implied by the box).
    is the weights over their max |w|, since HiGHS's absolute tolerances
    stop short of the optimum on small weights.
 
-``fm_norms`` routes each measure the same way and solves the LPs left
-over as the blocks of one block-diagonal LP, in one call: the blocks
-share no variable, so it is optimal block by block.  Every route is
-deterministic.
+Every route is deterministic, and ``fm_norm`` returns an optimal value
+or raises ``FlatNormError``.
 
 ``fm_norm_oracle`` cross-checks ``fm_norm`` on small supports through the
 dual problem, a min-cost transshipment over all pairs, so agreement is a
@@ -56,9 +54,6 @@ from .measures import DiscreteSignedMeasure, linear_combine
 # Pairwise constraints farther apart than this are implied by the box.
 _PRUNE_AT = 2.0
 
-STATUS_OPTIMAL = "optimal"
-STATUS_NUMERICS = "infeasible_numerics"
-
 
 class FlatNormError(RuntimeError):
     """Raised when the LP solve cannot certify an optimal value."""
@@ -68,7 +63,6 @@ class FlatNormError(RuntimeError):
 class FlatNormResult:
     value: float
     optimal_f_values: np.ndarray  # aligned with the measure's atom order
-    status: str
 
 
 class _Block(NamedTuple):
@@ -81,57 +75,39 @@ class _Block(NamedTuple):
 
 
 def fm_norm(mu: DiscreteSignedMeasure) -> FlatNormResult:
-    """Flat norm of a coalesced measure, with an optimal test vector."""
-    routed = _route(mu)
-    return routed if isinstance(routed, FlatNormResult) else _fm_lp([routed])[0]
+    """Flat norm of a coalesced measure, with an optimal test vector.
 
-
-def fm_norms(mus: list[DiscreteSignedMeasure]) -> list[FlatNormResult]:
-    """``fm_norm`` of each measure, with the LPs left among them in one HiGHS call.
-
-    Measures that never form a block (at most one atom, or 1D Euclidean)
-    go through ``fm_norm`` itself, where perfbench's tracer counts them;
-    the rest take routes 1-5 here, so only uncertified blocks reach HiGHS.
+    Takes routes 1-6 of the module docstring in turn; raises
+    ``FlatNormError`` if HiGHS cannot certify the LP of route 6.
     """
-    routed = [_route(mu) if mu.num_atoms > 1 and (mu.dim > 1 or mu.domain != EUCLIDEAN)
-              else fm_norm(mu) for mu in mus]
-    solved = iter(_fm_lp([r for r in routed if not isinstance(r, FlatNormResult)]))
-    return [r if isinstance(r, FlatNormResult) else next(solved) for r in routed]
-
-
-def _route(mu: DiscreteSignedMeasure) -> FlatNormResult | _Block:
-    """Routes 1-5 of the module docstring: the exact result, or the block route 6 solves."""
     if mu.num_atoms == 0:
-        return FlatNormResult(0.0, np.zeros(0), STATUS_OPTIMAL)
+        return FlatNormResult(0.0, np.zeros(0))
     w = np.asarray(mu.weights, dtype=float)
     if mu.num_atoms == 1:
-        f = np.array([1.0 if w[0] >= 0 else -1.0])
-        return FlatNormResult(abs(float(w[0])), f, STATUS_OPTIMAL)
+        return FlatNormResult(abs(float(w[0])), np.array([1.0 if w[0] >= 0 else -1.0]))
     ws = w.tolist()
     positive = min(ws) >= 0.0
     if positive or max(ws) <= 0.0:
         value = 0.0
         for k in np.argsort(mu.points[:, 0], kind="stable")[::-1].tolist():
             value += abs(ws[k])  # the chain DP's sum, right to left
-        return FlatNormResult(value, np.full(w.size, 1.0 if positive else -1.0), STATUS_OPTIMAL)
+        return FlatNormResult(value, np.full(w.size, 1.0 if positive else -1.0))
     if mu.dim == 1 and mu.domain == EUCLIDEAN:
-        value, f = _fm_chain_1d(mu.points[:, 0], w)
-        return FlatNormResult(value, f, STATUS_OPTIMAL)
+        return FlatNormResult(*_fm_chain_1d(mu.points[:, 0], w))
     if mu.dim == 1:
         routed = _torus_cut(mu.points, w)
     else:
         dist = pairwise_distances(mu.points, mu.domain)
         i, j = np.nonzero(np.triu(dist < _PRUNE_AT - 1e-12, k=1))
         routed = _Block(w, i, j, dist[i, j])
-    return routed if isinstance(routed, FlatNormResult) else _matched_pair(routed)
+    if isinstance(routed, _Block):
+        routed = _matched_pair(routed)
+    return routed if isinstance(routed, FlatNormResult) else _fm_lp(routed)
 
 
 def fm_distance(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> float:
     """Flat distance ||mu - nu||; raises FlatNormError if not certified."""
-    result = fm_norm(linear_combine(1.0, mu, -1.0, nu))
-    if result.status != STATUS_OPTIMAL:
-        raise FlatNormError(f"flat norm solve failed with status {result.status}")
-    return result.value
+    return fm_norm(linear_combine(1.0, mu, -1.0, nu)).value
 
 
 def fm_norm_oracle(mu: DiscreteSignedMeasure) -> float:
@@ -288,7 +264,7 @@ def _torus_cut(points: np.ndarray, w: np.ndarray) -> FlatNormResult | _Block:
         return _Block(w, order, nxt, d)
     out = np.empty(w.size)
     out[chain] = f
-    return FlatNormResult(value, out, STATUS_OPTIMAL)
+    return FlatNormResult(value, out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +297,7 @@ def _matched_pair(block: _Block) -> FlatNormResult | _Block:
     f = s.copy()
     f[light] = -s[light] * (1.0 - d[edges[mutual]])
     if np.all(np.abs(f[i] - f[j]) <= d + 4.0 * np.finfo(float).eps):
-        return FlatNormResult(float(w @ f), f, STATUS_OPTIMAL)
+        return FlatNormResult(float(w @ f), f)
     return block
 
 
@@ -329,29 +305,17 @@ def _matched_pair(block: _Block) -> FlatNormResult | _Block:
 # Route 6: sparse LP on the geometry's edge set, solved by HiGHS.
 # ---------------------------------------------------------------------------
 
-def _fm_lp(blocks: list[_Block]) -> list[FlatNormResult]:
-    """The blocks' LPs in one call; a failed batch is re-solved block by block."""
-    if not blocks:
-        return []
-    sizes = [b.w.size for b in blocks]
-    starts = np.cumsum([0] + sizes[:-1])
-    i = np.concatenate([b.i + s for b, s in zip(blocks, starts)])
-    j = np.concatenate([b.j + s for b, s in zip(blocks, starts)])
-    d = np.concatenate([b.d for b in blocks])
-    n = sum(sizes)
+def _fm_lp(block: _Block) -> FlatNormResult:
+    """The block's LP in one HiGHS call; raises FlatNormError if it fails."""
+    w, i, j, d = block
     rows = np.arange(i.size)
     edges = scipy.sparse.csr_array(
         (np.repeat([1.0, -1.0], i.size), (np.tile(rows, 2), np.concatenate([i, j]))),
-        shape=(i.size, n),
+        shape=(i.size, w.size),
     )
-    w = np.concatenate([b.w for b in blocks])
-    # each block over its own max |w|, positive: only mixed-sign measures get here
-    scaled = np.concatenate([b.w / np.max(np.abs(b.w)) for b in blocks])
-    res = milp(-scaled, constraints=LinearConstraint(edges, -d, d), bounds=Bounds(-1.0, 1.0))
-    if res.status != 0 and len(blocks) > 1:
-        return [_fm_lp([b])[0] for b in blocks]
+    # over max |w|, positive: only mixed-sign measures get here
+    res = milp(-w / np.max(np.abs(w)), constraints=LinearConstraint(edges, -d, d),
+               bounds=Bounds(-1.0, 1.0))
     if res.status != 0:
-        return [FlatNormResult(float("nan"), np.zeros(n), STATUS_NUMERICS)]
-    cuts = np.cumsum(sizes)[:-1]
-    return [FlatNormResult(float(w_b @ f_b), f_b, STATUS_OPTIMAL)
-            for w_b, f_b in zip(np.split(w, cuts), np.split(res.x, cuts))]
+        raise FlatNormError(f"flat norm solve failed: HiGHS status {res.status}: {res.message}")
+    return FlatNormResult(float(w @ res.x), res.x)

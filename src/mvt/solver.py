@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flat_metric import STATUS_OPTIMAL, fm_norm, fm_norms
+from .flat_metric import FlatNormError, fm_norm
 from .flow import default_step, lipschitz_bound
 from .grids import GridDensity, lp_norm, with_values
 from .measures import (
@@ -404,11 +404,12 @@ def picard_step(
     return _sweep_measures(spec, times, _panel_push(v, times, default_step(tau)), curve, c)
 
 
-def _fm_of(diff: DiscreteSignedMeasure) -> float:
-    res = fm_norm(diff)
-    if res.status != STATUS_OPTIMAL:
-        raise SolverError(f"flat-norm evaluation failed with status {res.status!r}")
-    return res.value
+def _fm_of(diff: DiscreteSignedMeasure, node: int) -> float:
+    """Flat norm of node ``node``'s difference; a failed LP names the node."""
+    try:
+        return fm_norm(diff).value
+    except FlatNormError as exc:
+        raise SolverError(f"flat-norm evaluation failed at node {node}: {exc}") from exc
 
 
 def _curve_distance(
@@ -419,8 +420,8 @@ def _curve_distance(
     """sup over nodes of the flat distance between two iterates.
 
     Total variation dominates the flat norm, so nodes whose TV gap is
-    already far below tolerance skip the LP; the rest go to ``fm_norms``
-    together, so their LPs take one HiGHS call.  Two ``_NodeWeights`` are
+    already far below tolerance skip the LP; the rest go to ``fm_norm``
+    one by one, through ``_fm_of``.  Two ``_NodeWeights`` are
     subtracted on the shared support, as ``linear_combine`` would, and
     their TVs, sign tests and one-signed norms (``flat_metric``'s route 2,
     summed right to left over columns, which are in sorted-x order) are
@@ -447,10 +448,8 @@ def _curve_distance(
         worst = float(np.max(tv[tv <= 1e-3 * tol], initial=0.0))
         nodes = np.flatnonzero(tv > 1e-3 * tol).tolist()
         diffs = [diffs[k] for k in nodes]
-    for k, res in zip(nodes, fm_norms(diffs)):
-        if res.status != STATUS_OPTIMAL:
-            raise SolverError(f"flat-norm evaluation failed at node {k} with status {res.status!r}")
-        worst = max(worst, res.value)
+    for k, diff in zip(nodes, diffs):
+        worst = max(worst, _fm_of(diff, k))
     return worst
 
 
@@ -573,8 +572,7 @@ def _assemble(
     neg = np.array([negative_part_tv(m) for m in measures])
     fm_step = np.zeros(n)
     for j in range(1, n):
-        diff = linear_combine(1.0, measures[j], -1.0, measures[j - 1])
-        fm_step[j] = _fm_of(diff)
+        fm_step[j] = _fm_of(linear_combine(1.0, measures[j], -1.0, measures[j - 1]), j)
     lp = np.full(n, np.nan)
     if densities is not None:
         lp = np.array([lp_norm(u) for u in densities])

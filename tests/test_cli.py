@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_text, fail_fixed_point_on_call, reference_density_csv
-from mvt import cli, flat_metric
+from mvt import cli, flat_metric, solver
 from mvt.cli import main, run_simulate
 from mvt.geometry import TORUS
 from mvt.grids import gaussian_density, load_density, save_density
@@ -197,6 +197,37 @@ def test_simulate_failure_writes_finished_intervals(tmp_path, capsys, monkeypatc
         assert (out / row.split(",")[2]).exists()
 
 
+
+@pytest.mark.parametrize("fail_second_interval", [False, True])
+@pytest.mark.parametrize("below_a_file", [False, True])
+def test_simulate_uncreatable_out_dir_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, below_a_file, fail_second_interval):
+    # the directory is made before the solve, for the full output and for
+    # the finished intervals a failed run keeps alike
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file\n")
+    out = blocker / "run" if below_a_file else blocker
+    if fail_second_interval:
+        fail_fixed_point_on_call(monkeypatch, 2)
+    solve, solves = cli.solve_maximal, []
+    monkeypatch.setattr(cli, "solve_maximal",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    assert main(["simulate", "--config", str(CONFIG_DIR / "linear_mass.ini"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not solves
+    assert captured.err.startswith(f"mvt simulate: cannot create output directory {out}: ")
+    assert len(captured.err.splitlines()) == 1
+    assert blocker.read_text() == "a file\n"
+
+
+def test_simulate_step_distance_failure_exits_3_naming_the_node(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "fm_norm", _non_optimal_fm_norm)
+    assert main(["simulate", "--config", str(CONFIG_DIR / "linear_mass.ini"),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure: flat-norm evaluation failed at node 1: flat norm solve failed" in err
+
 def _reference_trajectory_csv(traj) -> str:
     """trajectory.csv written row by row through ``csv.writer``."""
     buf = io.StringIO()
@@ -309,9 +340,7 @@ def test_metric_empty_side_of_other_dim_exits_2(tmp_path, capsys):
 
 
 def _non_optimal_fm_norm(mu):
-    return flat_metric.FlatNormResult(
-        float("nan"), np.zeros(mu.num_atoms), flat_metric.STATUS_NUMERICS
-    )
+    raise flat_metric.FlatNormError("flat norm solve failed: HiGHS status 4: forced")
 
 
 def test_metric_flat_norm_failure_exits_3(tmp_path, capsys, monkeypatch):

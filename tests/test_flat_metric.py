@@ -30,7 +30,6 @@ from scipy.optimize import linprog
 from helpers import random_positive, random_signed, random_sine_function
 import mvt.flat_metric
 from mvt.flat_metric import (
-    STATUS_OPTIMAL,
     _Block,
     _fm_chain_1d,
     _fm_lp,
@@ -38,7 +37,6 @@ from mvt.flat_metric import (
     fm_distance,
     fm_norm,
     fm_norm_oracle,
-    fm_norms,
 )
 from mvt.geometry import EUCLIDEAN, TORUS, distance, pairwise_distances
 from mvt.measures import (
@@ -50,7 +48,7 @@ from mvt.measures import (
     multiply_by_function,
     tv_norm,
 )
-from mvt.scenarios import bundled_scenario
+from mvt.scenarios import BUNDLED_SCENARIOS, bundled_scenario
 from mvt.solver import solve_maximal
 
 
@@ -103,7 +101,6 @@ def test_oracle_agreement_small_supports(seed, n, dim):
     rng = np.random.default_rng(seed)
     mu = random_signed(rng, n, dim, span=2.0)
     res = fm_norm(mu)
-    assert res.status == STATUS_OPTIMAL
     assert abs(res.value - fm_norm_oracle(mu)) <= 1e-6
     _certificate_ok(mu, res)
 
@@ -114,7 +111,6 @@ def test_oracle_agreement_torus(seed, n, dim):
     rng = np.random.default_rng(seed)
     mu = random_signed(rng, n, dim, domain=TORUS)
     res = fm_norm(mu)
-    assert res.status == STATUS_OPTIMAL
     assert abs(res.value - fm_norm_oracle(mu)) <= 1e-6
     _certificate_ok(mu, res)
 
@@ -150,7 +146,6 @@ def test_chain_matches_simplex_via_planar_embedding(seed):
         with _counting_milp() as milp_calls:
             chain, lp = fm_norm(mu), fm_norm(planar)
         assert len(milp_calls) == 1, family  # the planar block reached HiGHS
-        assert lp.status == STATUS_OPTIMAL
         assert lp.value == pytest.approx(chain.value, abs=1e-8), family
         _certificate_ok(mu, chain)
         _certificate_ok(planar, lp)
@@ -167,7 +162,6 @@ def test_torus_cycle_matches_chain_inside_short_arc(seed):
     line = measure(np.mod(torus.points - start, 1.0), torus.weights)
     assert line.num_atoms == torus.num_atoms
     cycle, chain = fm_norm(torus), fm_norm(line)
-    assert cycle.status == STATUS_OPTIMAL
     assert cycle.value == pytest.approx(chain.value, abs=1e-8)
     _certificate_ok(torus, cycle)
     _certificate_ok(line, chain)
@@ -227,7 +221,6 @@ def test_larger_1d_supports_stay_exact():
     rng = np.random.default_rng(11)
     mu = random_signed(rng, 200, 1, span=3.0)
     res = fm_norm(mu)
-    assert res.status == STATUS_OPTIMAL
     _certificate_ok(mu, res)
 
 
@@ -245,28 +238,6 @@ def test_chain_memory_is_linear():
     assert np.all(np.abs(f) <= 1.0 + 1e-9)
     assert np.all(np.abs(np.diff(f)) <= np.diff(x) + 1e-9)
     assert float(f @ mu.weights) == pytest.approx(res.value, abs=1e-9)
-
-
-_MIXED_KINDS = [(0, 1, EUCLIDEAN), (1, 2, EUCLIDEAN), (1, 1, EUCLIDEAN), (7, 1, EUCLIDEAN),
-                (2, 1, TORUS), (9, 1, TORUS), (6, 2, EUCLIDEAN), (6, 2, TORUS),
-                (5, 3, EUCLIDEAN), (4, 3, TORUS)]
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.lists(st.sampled_from(_MIXED_KINDS), max_size=12))
-def test_batched_norms_match_single_solves(seed, kinds):
-    """``fm_norms`` on a mixed list agrees with ``fm_norm`` measure by measure."""
-    rng = np.random.default_rng(seed)
-    mus = [random_signed(rng, n, dim, domain=domain) if n else empty_measure(dim, domain)
-           for n, dim, domain in kinds]
-    batched = fm_norms(mus)
-    assert len(batched) == len(mus)
-    for mu, got in zip(mus, batched):
-        want = fm_norm(mu)
-        assert got.status == want.status == STATUS_OPTIMAL
-        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
-        if mu.num_atoms:
-            _certificate_ok(mu, got)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +318,7 @@ def _cycle_lp(mu):
     nxt = np.roll(order, -1)
     d = distance(mu.points[order], mu.points[nxt], TORUS)
     with _counting_milp() as milp_calls:
-        res = _fm_lp([_Block(np.asarray(mu.weights), order, nxt, d)])[0]
+        res = _fm_lp(_Block(np.asarray(mu.weights), order, nxt, d))
     assert len(milp_calls) == 1
     return res
 
@@ -364,7 +335,6 @@ def test_torus_cut_matches_oracle_and_lp(family):
         with _counting_milp() as milp_calls:
             res = fm_norm(mu)
         fallbacks += len(milp_calls)
-        assert res.status == STATUS_OPTIMAL
         assert abs(res.value - fm_norm_oracle(mu)) <= 1e-9
         assert abs(res.value - _cycle_lp(mu).value) <= 1e-9
         _certificate_ok(mu, res)
@@ -428,7 +398,6 @@ def test_matched_pair_or_lp_matches_oracle(dim, domain):
         assert len(milp_calls) <= int(lp_bound)
         if lp_bound:
             by_calls[len(milp_calls)] += 1
-        assert res.status == STATUS_OPTIMAL
         assert res.value == pytest.approx(fm_norm_oracle(mu), rel=1e-12, abs=0.0)
         _certificate_ok(mu, res)
     assert min(by_calls) > 0, by_calls
@@ -465,15 +434,17 @@ def test_matched_pair_certifies_an_equal_weight_ring():
     _certificate_ok(mu, res)
 
 
-@pytest.mark.parametrize("name", ["ring_rotation", "death_shear", "lp_rotation"])
-def test_bundled_step_distances_solve_no_lp(name):
-    """The three bundled scenarios whose node differences used to reach HiGHS
-    (16, 128 and 8 calls) are all settled by the matched pair."""
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_bundled_full_solves_call_no_lp(name):
+    """No bundled solve calls HiGHS, in its Picard distances or its step
+    distances: ring_rotation's, death_shear's and lp_rotation's node
+    differences (16, 128 and 8 LPs before route 5) are all settled by the
+    matched pair, and the other six never reach route 6 either."""
     sc = bundled_scenario(name)
     with _counting_milp() as milp_calls:
         traj = solve_maximal(sc.reaction, sc.velocity, sc.initial, sc.t0, sc.horizon,
                              sc.solver, initial_density=sc.density)
-    assert traj.reached_horizon
+    assert traj.reached_horizon or traj.blown_up
     assert np.all(traj.fm_step_distance[1:] > 0.0)
     assert not milp_calls
 
@@ -543,9 +514,8 @@ def test_lp_route_exact_on_small_weights():
         order = np.argsort(x, kind="stable")
         blocks.append(_Block(w, order[:-1], order[1:], np.diff(x[order])))
         exact.append(_chain_dp_checked(x, w))
-    for res, value in zip(_fm_lp(blocks), exact):
-        assert res.status == STATUS_OPTIMAL
-        assert res.value == pytest.approx(value, rel=1e-8)
+    for block, value in zip(blocks, exact):
+        assert _fm_lp(block).value == pytest.approx(value, rel=1e-8)
 
 
 class _CountingDeque(deque):

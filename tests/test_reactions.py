@@ -207,17 +207,15 @@ def test_verify_assumptions_catches_understated_lipschitz():
 
 def test_verify_assumptions_raises_when_lipschitz_lhs_solve_fails(monkeypatch):
     # In 2D the first LP is the l_f check's left-hand side; a failed solve
-    # returns NaN, which must raise instead of reading as no violation.
+    # must reach the caller instead of reading as no violation.
     real_lp = flat_metric._fm_lp
     calls = []
 
-    def fail_first(blocks):
-        calls.append([block.w.size for block in blocks])
+    def fail_first(block):
+        calls.append(block.w.size)
         if len(calls) == 1:
-            return [flat_metric.FlatNormResult(
-                float("nan"), np.zeros(block.w.size), flat_metric.STATUS_NUMERICS
-            ) for block in blocks]
-        return real_lp(blocks)
+            raise flat_metric.FlatNormError("flat norm solve failed: HiGHS status 4: forced")
+        return real_lp(block)
 
     monkeypatch.setattr(flat_metric, "_fm_lp", fail_first)
     with pytest.raises(flat_metric.FlatNormError):

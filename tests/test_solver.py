@@ -23,6 +23,7 @@ from mvt.measures import (
     tv_norm,
 )
 from mvt.reactions import builtin_reaction, eval_reaction
+from mvt.scenarios import bundled_scenario
 from mvt.solver import (
     NonContractionError,
     SolverConfig,
@@ -676,23 +677,35 @@ def test_curve_distance_rows_match_the_measure_route_bitwise(monkeypatch, domain
     # at 8 atoms or more np.sum adds in pairwise blocks, where zeroed
     # (pruned) entries would regroup it
     rng = np.random.default_rng(n)
-    fm_norms, sent = solver.fm_norms, []
+    fm_norm, sent = solver.fm_norm, []
 
-    def spy(mus):
-        sent.append([mu.num_atoms for mu in mus])
-        return fm_norms(mus)
+    def spy(mu):
+        sent.append(mu.num_atoms)
+        return fm_norm(mu)
 
-    monkeypatch.setattr(solver, "fm_norms", spy)
+    monkeypatch.setattr(solver, "fm_norm", spy)
     for big in range(1, 6):
         new, old = _pruned_rows(rng, n, domain, big)
         for tol in (1e6, 1e-12):  # every node under the TV skip, then none but node 0
             sent.clear()
             fast = solver._curve_distance(new, old, tol)
-            mixed = sent[0]
+            mixed = len(sent)
             slow = solver._curve_distance(list(new), list(old), tol)
             assert type(fast) is float and np.float64(fast).tobytes() == np.float64(slow).tobytes()
-            assert len(mixed) == (0 if tol > 1 else 2)  # only rows 2 and 4 become measures
+            assert mixed == (0 if tol > 1 else 2)  # only rows 2 and 4 become measures
 
+
+
+def test_step_distance_failure_names_its_node(monkeypatch):
+    # linear_mass's one atom keeps its Picard distances one-signed, so the
+    # first flat norm asked for is the step distance at node 1
+    def failing(mu):
+        raise mvt.flat_metric.FlatNormError("flat norm solve failed: HiGHS status 4: forced")
+
+    monkeypatch.setattr(solver, "fm_norm", failing)
+    sc = bundled_scenario("linear_mass")
+    with pytest.raises(SolverError, match="at node 1: flat norm solve failed"):
+        solve_interval(sc.reaction, sc.velocity, sc.t0, 0.1, sc.initial, sc.solver)
 
 # --- solve_maximal ----------------------------------------------------------
 
@@ -865,7 +878,7 @@ def test_maximal_rejects_bad_horizon():
 
 
 def test_curve_distance_names_the_node_whose_lp_fails(monkeypatch):
-    """A failed batch is re-solved block by block; the failing block's node is named."""
+    """The node whose LP fails is named, and no later node is solved."""
     rng = np.random.default_rng(5)
     # rows of -1, +2, ..., +2, -1 at spacing 0.1: each heavy inner atom needs
     # both neighbours, so no matched pair certifies a block and each reaches the LP
@@ -874,11 +887,10 @@ def test_curve_distance_names_the_node_whose_lp_fails(monkeypatch):
         w = 2.0 * (-1.0) ** np.arange(1, n + 1)
         w[[0, -1]] = -1.0
         new.append(measure(rng.uniform(-1.0, 1.0, size=2) + 0.1 * np.outer(np.arange(n), [1.0, 0.0]), w))
-    assert all(isinstance(mvt.flat_metric._route(mu), mvt.flat_metric._Block) for mu in new)
     old = [empty_measure(2)] * len(new)
     milp, sizes = mvt.flat_metric.milp, []
 
-    def failing_milp(c, **kwargs):  # the batch and the 5-atom block fail
+    def failing_milp(c, **kwargs):  # the 5-atom block fails
         sizes.append(c.size)
         res = milp(c, **kwargs)
         if c.size != 3:
@@ -886,6 +898,6 @@ def test_curve_distance_names_the_node_whose_lp_fails(monkeypatch):
         return res
 
     monkeypatch.setattr(mvt.flat_metric, "milp", failing_milp)
-    with pytest.raises(SolverError, match="at node 2 with status 'infeasible_numerics'"):
+    with pytest.raises(SolverError, match="at node 2: flat norm solve failed: HiGHS status 4:"):
         solver._curve_distance(new, old, 1e-8)
-    assert sizes == [14, 3, 3, 5, 3]
+    assert sizes == [3, 3, 5]
