@@ -695,7 +695,6 @@ def test_curve_distance_rows_match_the_measure_route_bitwise(monkeypatch, domain
             assert mixed == (0 if tol > 1 else 2)  # only rows 2 and 4 become measures
 
 
-
 def test_step_distance_failure_names_its_node(monkeypatch):
     # linear_mass's one atom keeps its Picard distances one-signed, so the
     # first flat norm asked for is the step distance at node 1
@@ -706,6 +705,7 @@ def test_step_distance_failure_names_its_node(monkeypatch):
     sc = bundled_scenario("linear_mass")
     with pytest.raises(SolverError, match="at node 1: flat norm solve failed"):
         solve_interval(sc.reaction, sc.velocity, sc.t0, 0.1, sc.initial, sc.solver)
+
 
 # --- solve_maximal ----------------------------------------------------------
 
