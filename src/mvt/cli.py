@@ -19,7 +19,7 @@ def _cap_threads() -> None:
 
     Must run ahead of numpy's first import in this process, which is
     why this module sets the env vars at import time and why the
-    package ``__init__`` is lazy.  Unset, empty, or 0 leaves the
+    package ``__init__`` imports nothing.  Unset, empty, or 0 leaves the
     libraries at their own defaults (all cores).
     """
     raw = os.environ.get("MVT_THREADS", "").strip()

@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 import scipy.special
 
+from .geometry import coordinate_deltas
 from .grids import GridDensity, mass as density_mass, with_values
 from .measures import (
     DiscreteSignedMeasure,
@@ -159,11 +160,12 @@ def _bump_lp_norm(sigma: float, width: float, dim: int, p: float) -> float:
     return float(peak * integral ** (1.0 / p))
 
 
-def _bump_values(points: np.ndarray, center: np.ndarray, sigma: float, width: float) -> np.ndarray:
-    rel = (points - center) / width
+def _bump_values(offsets: np.ndarray, sigma: float, width: float) -> np.ndarray:
+    """The bump profile at points ``offsets`` away from its centre."""
+    rel = offsets / width
     r2 = np.sum(rel * rel, axis=1)
     inside = np.clip(1.0 - r2, 0.0, None)
-    return _bump_normalization(sigma, width, points.shape[1]) * inside**3
+    return _bump_normalization(sigma, width, offsets.shape[1]) * inside**3
 
 
 def _bump_atoms(center: np.ndarray, sigma: float, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +178,7 @@ def _bump_atoms(center: np.ndarray, sigma: float, width: float) -> tuple[np.ndar
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = _bump_values(pts, center, sigma, width)
+    vals = _bump_values(pts - center, sigma, width)
     keep = vals > 0.0
     pts, vals = pts[keep], vals[keep]
     weights = vals / np.sum(vals) * sigma if np.sum(vals) > 0 else vals
@@ -300,7 +302,8 @@ def builtin_reaction(
             return measure(atom_pts, atom_wts, mu.domain)
 
         def _bump_density(t: float, u: GridDensity) -> GridDensity:
-            vals = _bump_values(u.center_points(), ctr, sigma, width)
+            offsets = coordinate_deltas(u.center_points(), ctr, u.domain)
+            vals = _bump_values(offsets, sigma, width)
             return with_values(u, vals.reshape(u.values.shape))
 
         return ReactionSpec(

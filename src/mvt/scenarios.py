@@ -37,7 +37,7 @@ Config schema (unknown sections or keys are errors):
     picard_max_iter = 80
     tv_blowup_threshold =
     dilation_mode = none        ; none | auto | fixed
-    dilation_c = 0.0
+    dilation_c = 0.0            ; fixed mode's shift; must be 0 otherwise
     max_interval_tau =
 
     [density]                   ; optional section

@@ -119,6 +119,8 @@ class SolverConfig:
             raise ValueError(f"dilation_mode must be one of {DILATION_MODES}")
         if not 0 <= self.dilation_c < math.inf:
             raise ValueError("dilation_c must be nonnegative and finite")
+        if self.dilation_c != 0.0 and self.dilation_mode != "fixed":
+            raise ValueError("dilation_c is read only with dilation_mode = fixed")
         if self.max_interval_tau is not None and not self.max_interval_tau > 0:
             raise ValueError("max_interval_tau must be positive")
 
@@ -228,7 +230,7 @@ def _dilation_parts(lf: float, c: float, l_v: float, tau: float) -> int:
     def factor(parts: int) -> float:
         if c == 0.0:
             return lf * l_v * tau / parts
-        return (lf + c) * l_v * (1.0 - math.exp(-c * tau / parts)) / c
+        return (lf + c) * l_v * -math.expm1(-c * tau / parts) / c
 
     parts = 1
     while factor(parts) >= _CONTRACTION:
@@ -287,13 +289,12 @@ class _NodeWeights:
     """Picard iterate of a reaction with no production, on fixed supports.
 
     Such a reaction only rescales weights, so at node k every iterate sits
-    on the transport curve's support: ``points`` as this iterate stores it,
-    ``swept`` as sweeps return it.  Iterating yields the node measures.
+    on the transport curve's support ``points``, as sweeps return it.
+    Iterating yields the node measures.
     """
 
     nu: DiscreteSignedMeasure
     points: list[np.ndarray]
-    swept: list[np.ndarray]
     weights: np.ndarray
 
     def __len__(self) -> int:
@@ -325,10 +326,9 @@ def _fixed_supports(
         or not all(_gaps_clear(p[:, 0], p, nu.domain) for p in points)
     ):
         return None
-    swept = points
     if spec.rate is not None or c != 0.0:
-        swept = points[:1] + [_readonly(p + 0.0) for p in points[1:]]
-    return _NodeWeights(nu, points, swept, np.tile(nu.weights, (len(points), 1)))
+        points = points[:1] + [_readonly(p + 0.0) for p in points[1:]]
+    return _NodeWeights(nu, points, np.tile(nu.weights, (len(points), 1)))
 
 
 def _sweep_weights(
@@ -353,7 +353,7 @@ def _sweep_weights(
     half = out[:-1] + (0.5 * float(times[1] - times[0])) * g[:-1]
     if np.any(np.abs(half) < WEIGHT_EPS) or np.any(np.abs(out[1:]) < WEIGHT_EPS):
         return None
-    return _NodeWeights(curve.nu, curve.swept, curve.swept, out)
+    return _NodeWeights(curve.nu, curve.points, out)
 
 
 def _sweep_measures(

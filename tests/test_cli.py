@@ -171,6 +171,12 @@ def test_simulate_rejects_nonfinite_values(tmp_path, capsys, text, key):
     assert key in capsys.readouterr().err
 
 
+def test_simulate_rejects_dilation_c_without_fixed_mode(tmp_path, capsys):
+    cfg = _write(tmp_path, BASIC + "\n[solver]\ndilation_c = 0.5\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "dilation_c" in capsys.readouterr().err
+
+
 def test_simulate_missing_config(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "mvt simulate:" in capsys.readouterr().err

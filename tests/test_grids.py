@@ -52,6 +52,27 @@ def test_gaussian_density_exact_cell_averages():
     assert mass(shifted) < 2.0
 
 
+@pytest.mark.parametrize("center, sigma", [(0.02, 0.1), (0.5, 0.1), (0.98, 0.1), (0.3, 2.5)])
+def test_torus_gaussian_keeps_the_mass_beyond_the_seam(center, sigma):
+    # at centre 0.02 the unit interval alone holds 0.58 of the mass;
+    # from sigma = 2 on the wrapped Gaussian is uniform
+    u = gaussian_density([0.0], [1.0], 200, sigma, [center], 2.0, domain=TORUS)
+    assert mass(u) == pytest.approx(1.0, abs=1e-10)
+    plane = gaussian_density([0.0] * 2, [1.0] * 2, 40, sigma, [center, 1.0 - center], 2.0,
+                             domain=TORUS)
+    assert mass(plane) == pytest.approx(1.0, abs=1e-10)
+    if sigma >= 2.0:
+        assert np.all(u.values == 1.0)
+
+
+def test_torus_gaussian_moves_by_rolling():
+    a = gaussian_density([0.0], [1.0], 200, 0.1, [0.5], 2.0, domain=TORUS)
+    b = gaussian_density([0.0], [1.0], 200, 0.1, [0.7], 2.0, domain=TORUS)
+    c = gaussian_density([0.0], [1.0], 200, 0.1, [-0.3], 2.0, domain=TORUS)
+    np.testing.assert_allclose(b.values, np.roll(a.values, 40), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(c.values, b.values, rtol=0.0, atol=1e-12)
+
+
 def test_grid_density_validation():
     with pytest.raises(GridError):
         grid_density([0.0], [0.0], 4, np.zeros(4), 2.0)  # empty box

@@ -1,21 +1,22 @@
-"""No dead names: every import is used, and every private definition too.
+"""No dead names: every import is used, and every definition too.
 
 No linter ships with the project, so these AST scans are the check.
 Every name a module imports is referenced somewhere in that module; this
 covers the package, the scripts and the tests.  ``from __future__`` imports bind
-no usable name and are skipped; the lazy export table of
-``mvt/__init__.py`` maps names to module strings and imports nothing.
-Every module-level private function and class of the package is
-referenced from the package, the scripts or the benchmark; a string
-equal to its name counts, since the benchmark's tracer hooks solver
-internals through ``getattr``.
+no usable name and are skipped.  Every module-level private function and
+class of the package is referenced from the package, the scripts or the
+benchmark, and every public one from these or the tests; a string equal
+to its name counts, since the benchmark's tracer hooks solver internals
+through ``getattr``.  A fresh ``import mvt`` loads no numpy, so the CLI
+can cap the thread pools first.
 """
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-import mvt
 from mvt import cli, flow, geometry, grids, measures, reactions, scenarios, solver, transport
 from mvt.velocity import VelocityField
 
@@ -63,21 +64,22 @@ def _references(path: Path) -> set[str]:
 
 def test_no_unreferenced_private_definitions():
     referenced = set().union(*(_references(path) for path in REFERRERS))
+    tested = referenced.union(*(_references(path) for path in TESTS))
     stranded = []
     for path in PACKAGE:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.endswith("__"):
                 continue
-            name = node.name
-            if name.startswith("_") and not name.endswith("__") and name not in referenced:
-                stranded.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
-    assert not stranded, "private and never referenced:\n" + "\n".join(stranded)
+            if node.name not in (referenced if node.name.startswith("_") else tested):
+                stranded.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not stranded, "defined and never referenced:\n" + "\n".join(stranded)
 
 
-def test_every_export_resolves():
-    # a stale entry in the lazy export table breaks ``from mvt import *``
-    missing = [name for name in mvt.__all__ if not hasattr(mvt, name)]
-    assert not missing, f"mvt.__all__ names with no definition: {missing}"
+def test_import_mvt_loads_no_numpy():
+    code = "import sys, mvt; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_tracer_hooks_exist():

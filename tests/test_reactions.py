@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from helpers import random_positive
 from mvt import flat_metric
 from mvt.flat_metric import fm_norm
-from mvt.grids import lp_norm, quantize, uniform_density
+from mvt.geometry import TORUS
+from mvt.grids import grid_density, lp_norm, mass, quantize, uniform_density
 from mvt.measures import (
     WEIGHT_EPS,
     MeasureError,
@@ -157,6 +158,47 @@ def test_smoothed_source_bump():
     du = eval_density_reaction(spec, 0.0, u)
     assert lp_norm(du) <= spec.lp_bound(2.0, 0.0, 0.0, 1.0) * 1.001
     assert lp_norm(du) == pytest.approx(spec.lp_bound(2.0, 0.0, 0.0, 1.0), rel=2e-3)
+
+
+@pytest.mark.parametrize("center", [0.02, 0.98])
+def test_torus_source_density_wraps_like_its_atoms(center):
+    # the bump across the seam is the centre-0.5 bump rolled, and its
+    # density keeps the mass of its atoms, which wrap through measure()
+    u = uniform_density([0.0], [1.0], 400, 0.0, 2.0, TORUS)
+
+    def source(c):
+        spec = builtin_reaction("smoothed_source", [1.0, 0.1, c])
+        atoms = eval_reaction(spec, 0.0, empty_measure(1, TORUS))
+        return eval_density_reaction(spec, 0.0, u), atoms
+
+    (density, atoms), (middle, _) = source(center), source(0.5)
+    shift = round((center - 0.5) * 400)
+    np.testing.assert_allclose(density.values, np.roll(middle.values, shift), rtol=0.0, atol=1e-9)
+    assert atoms.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert mass(density) == pytest.approx(atoms.total_mass, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["logistic", "mass_rate"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mass_coupled_lp_certificates_bound_sampled_densities(name, dim):
+    # Hoelder on a box of volume V bounds the mass by V^(1/q) ||u||_p;
+    # a constant density meets the bound, up to rounding
+    rng = np.random.default_rng(dim)
+    for _ in range(40):
+        lo = rng.uniform(-1.0, 1.0, dim)
+        hi = lo + rng.uniform(0.3, 2.5, dim)
+        params = [rng.uniform(-2.0, 2.0)] + ([rng.uniform(0.2, 4.0)] if name == "logistic" else [])
+        spec = builtin_reaction(name, params, domain_volume=float(np.prod(hi - lo)))
+        cells = 16 if dim == 1 else 6
+        values = rng.uniform(0.0, 2.0, (cells,) * dim)
+        values[rng.random(values.shape) < rng.uniform(0.0, 0.8)] = 0.0
+        if rng.random() < 0.2:
+            values[...] = rng.uniform(0.1, 2.0)
+        t = float(rng.uniform(0.0, 1.0))
+        for p in (1.5, 2.0, 3.0, np.inf):
+            u = grid_density(lo, hi, cells, values, p)
+            bound = spec.lp_bound(p, lp_norm(u), t, t)
+            assert lp_norm(eval_density_reaction(spec, t, u)) <= bound * (1.0 + 1e-12)
 
 
 def test_production_contract_enforced():

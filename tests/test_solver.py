@@ -54,6 +54,8 @@ def test_config_validation():
         SolverConfig(dilation_mode="sometimes")
     with pytest.raises(ValueError):
         SolverConfig(dilation_mode="fixed", dilation_c=-1.0)
+    with pytest.raises(ValueError, match="dilation_c"):
+        SolverConfig(dilation_c=0.5)  # other modes would ignore it
     with pytest.raises(ValueError):
         SolverConfig(picard_max_iter=0)
 
@@ -327,6 +329,14 @@ def test_interval_dilation_equivalence():
     assert worst <= 10.0 * tol
 
 
+def test_dilation_parts_keep_the_factor_of_a_tiny_shift():
+    # lf * l_v * tau = 0.8 and 0.5 need two parts, as at c = 0; written
+    # as 1 - exp(-c tau / N), the factor of a tiny c is lost to cancellation
+    assert solver._dilation_parts(4.0, 1e-17, 1.0, 0.2) == 2
+    assert solver._dilation_parts(4.0, 1e-8, 1.0, 0.125) == 2
+    assert solver._dilation_parts(4.0, 0.0, 1.0, 0.125) == 2
+
+
 def test_interval_joins_dilation_parts():
     # death_rate 1 with auto dilation over tau = 2 runs 7 fixed-point
     # parts; consecutive parts share their boundary node, stored once
@@ -544,6 +554,19 @@ def test_death_rate_cancelled_by_shift_falls_back():
     _assert_bitwise(fast, slow)
 
 
+def test_rate_pruned_in_first_sweep_falls_back():
+    # logistic [1, 2] at mass exactly 2 has rate 0, so the reaction
+    # prunes every weight and the first sweep already runs on measures
+    spec = builtin_reaction("logistic", [1.0, 2.0])
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[0.0], [0.5]], [1.5, 0.5])
+    config = SolverConfig(quad_nodes=9)
+    fast, slow, on_arrays = _both_paths(lambda: solve_interval(spec, v, 0.0, 0.3, nu, config))
+    assert on_arrays == [False]
+    assert fast.final_measure.total_mass == 2.0
+    _assert_bitwise(fast, slow)
+
+
 def test_weight_pruned_in_later_sweep_falls_back():
     # logistic decay speeds up as mass falls, so the first sweep keeps
     # the small atom above WEIGHT_EPS and the second drops it at the
@@ -666,7 +689,7 @@ def _pruned_rows(rng, n, domain, big):
 
     def weights(w):
         nu = DiscreteSignedMeasure(points[0], w[0], domain)
-        return solver._NodeWeights(nu, points, points, w)
+        return solver._NodeWeights(nu, points, w)
 
     return weights(new), weights(old)
 
