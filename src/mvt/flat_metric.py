@@ -16,10 +16,11 @@ are implied by the box).
 
 1. No atoms: 0.
 2. One sign (one atom included): f = +-1 attains sum |w_i| and nothing
-   does better, so the norm is the TV, summed in the chain DP's order.
-3. 1D Euclidean: an exact dynamic program over the chain (slope trick),
-   O(n) memory; a walk that would cross a whole side of breakpoints
-   hands that side over instead of moving it entry by entry.
+   does better, so the norm is the TV, ``tv_norm``.
+3. 1D Euclidean: an exact dynamic program over the chain's dual, a
+   weighted L1-TV problem in the edge flows; each breakpoint is pushed
+   once and popped at most once per end, and f follows from
+   complementary slackness.
 4. 1D torus: the cycle cut open at its largest gap and solved as a chain
    by the same DP; the result is the cycle's when it meets the closing
    edge, and otherwise the cycle goes on to route 5.
@@ -33,23 +34,19 @@ are implied by the box).
 
 Every route is deterministic, and ``fm_norm`` returns an optimal value
 or raises ``FlatNormError``.
-
-``fm_norm_oracle`` cross-checks ``fm_norm`` on small supports through the
-dual problem, a min-cost transshipment over all pairs, so agreement is a
-check by strong duality rather than a second run of the same LP.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .geometry import EUCLIDEAN, TORUS, distance, pairwise_distances, wrap_torus
-from .measures import DiscreteSignedMeasure, linear_combine
+from .measures import DiscreteSignedMeasure, linear_combine, tv_norm
 
 # Pairwise constraints farther apart than this are implied by the box.
 _PRUNE_AT = 2.0
@@ -88,10 +85,7 @@ def fm_norm(mu: DiscreteSignedMeasure) -> FlatNormResult:
     ws = w.tolist()
     positive = min(ws) >= 0.0
     if positive or max(ws) <= 0.0:
-        value = 0.0
-        for k in np.argsort(mu.points[:, 0], kind="stable")[::-1].tolist():
-            value += abs(ws[k])  # the chain DP's sum, right to left
-        return FlatNormResult(value, np.full(w.size, 1.0 if positive else -1.0))
+        return FlatNormResult(tv_norm(mu), np.full(w.size, 1.0 if positive else -1.0))
     if mu.dim == 1 and mu.domain == EUCLIDEAN:
         return FlatNormResult(*_fm_chain_1d(mu.points[:, 0], w))
     if mu.dim == 1:
@@ -110,132 +104,97 @@ def fm_distance(mu: DiscreteSignedMeasure, nu: DiscreteSignedMeasure) -> float:
     return fm_norm(linear_combine(1.0, mu, -1.0, nu)).value
 
 
-def fm_norm_oracle(mu: DiscreteSignedMeasure) -> float:
-    """Flat norm by the dual LP (scipy HiGHS), for at most 8 atoms.
-
-    Min-cost transshipment: atom i supplies w_i, shipping mass from i to
-    j costs min(d_ij, 2) per unit, and a ground node absorbs or supplies
-    mass at cost 1.  By strong duality the optimum is the flat norm.
-    """
-    n = mu.num_atoms
-    if n > 8:
-        raise ValueError(f"oracle accepts at most 8 atoms, got {n}")
-    if n == 0:
-        return 0.0
-    cost = np.minimum(pairwise_distances(mu.points, mu.domain), _PRUNE_AT)
-    src, dst = np.nonzero(~np.eye(n, dtype=bool))
-    arcs = np.arange(src.size)
-    balance = np.zeros((n, src.size + 2 * n))
-    balance[src, arcs] = 1.0
-    balance[dst, arcs] = -1.0
-    balance[:, src.size : src.size + n] = np.eye(n)  # atom -> ground
-    balance[:, src.size + n :] = -np.eye(n)  # ground -> atom
-    res = linprog(
-        c=np.concatenate([cost[src, dst], np.ones(2 * n)]),
-        A_eq=balance,
-        b_eq=np.asarray(mu.weights, dtype=float),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise FlatNormError(f"oracle LP failed: {res.message}")
-    return float(res.fun)
-
-
 # ---------------------------------------------------------------------------
-# Route 3: exact chain dynamic program, one Euclidean dimension.
+# Route 3: exact chain dynamic program, one Euclidean dimension, in the dual.
 #
-# Sorted atoms x_1 < ... < x_n only need the consecutive constraints
-# |f_{i+1} - f_i| <= x_{i+1} - x_i: any other pair follows by summing.
-# Backward value functions V_i(f) = max of the objective tail given
-# f_i = f are concave piecewise-linear on [-1, 1]; each step is a
-# sliding-window maximum, a clamp to [-1, 1] and the addition of the
-# linear term w_i f (the slope trick, after Jablonski & Marciniak-Czochra,
-# "Efficient algorithms computing distances between Radon measures on R").
-#
-# V is held as its maximum m and two deques of (raw, slope drop): the
-# breakpoints left of the argmax plateau and those right of it.  Both run
-# outward from the plateau and share one lazy map: an entry lies
-# u = a * (raw + off) outward, a = +-1, so a right breakpoint sits at u
-# and a left one at -u.  The window max of width delta is off += a * delta,
-# and the clamp pops from the outer ends.  Adding w f only walks the
-# argmax toward the sign of w, in t = a * u = raw + off, moving whole
-# entries from one deque's inner end to the other's and splitting at most
-# one; a walk that runs out of entries stops at the wall +-1 and pushes an
-# entry there.  m is held times a.  A walk that finds the other deque
-# empty and |w| at least its own deque's drops (held, the running sum of
-# all drops, rules most others out for free) hands that deque over
-# instead: reversed, it becomes the other side as it is, a -> -a turns
-# every u into -u, and m grows by sum(d * raw) + off * sum(d) from one
-# pass.  Transported densities carry a side of ~150 tail entries from
-# wall to wall at many sign changes.  With a = 1 and no hand-over the
-# arithmetic is the entry-by-entry walk's, bit for bit.  A step costs
-# O(1 + entries moved) otherwise.  The traceback keeps one float per
-# level, the plateau's left end, so memory is O(n); at the wall +1 it is
-# exactly 1.0, as reading it through off could round past the box.
+# Sorted atoms need only |f_{i+1} - f_i| <= d_i = x_{i+1} - x_i.  The dual
+# is transport with a ground node along the chain: minimise sum |h_i| +
+# sum d_i |g_i| over edge flows g_i, h_i = w_i - g_i + g_{i-1}, g_0 = g_n = 0,
+# a weighted L1-TV problem (Kolmogorov, Pock & Rolinek, "Total variation on
+# a tree", 2016).  The DP runs forward in F(g), the least cost of atoms
+# 1..i given the flow g out of atom i: convex piecewise-linear, held as its
+# right asymptote b + g and its breakpoints, in two heaps of
+# (position - offset, id), one per end, with lazy deletion.  Atom i shifts
+# F by w_i (the offset); edge i adds d_i |g|, a breakpoint of 2 d_i at 0,
+# and clamping the slopes back to [-1, 1] pops slope d_i from each end.
+# Each breakpoint is pushed once and popped at most once per heap.  f
+# follows by complementary slackness from the flows, traced back from
+# g_n = 0: h_i != 0 pins f_i = sign h_i, and g_i != 0 pins
+# f_i - f_{i+1} = d_i sign g_i.  Breakpoints and flows are partial sums of
+# the weights, so ties are common: a pin below _PIN * TV is rounding.
 # ---------------------------------------------------------------------------
+
+_PIN = 1e-12
+
 
 def _fm_chain_1d(points: np.ndarray, weights: np.ndarray):
     order = np.argsort(points, kind="stable")
     x = points[order].tolist()
     w = weights[order].tolist()
-    n = len(x)
-    left, right = deque(), deque()  # (raw, drop) entries, inner end first
-    a, off, m = 1.0, 0.0, 0.0  # the map's sign and offset; m is held times a
-    held = 0.0  # the drops on both sides, summed as they come and go
-    anchors = [0.0] * n  # left end of each level's argmax plateau
-    for i in range(n - 1, -1, -1):
-        if i < n - 1:
-            off += a * (x[i + 1] - x[i])
-            while left and a * (left[-1][0] + off) >= 1.0:
-                held -= left.pop()[1]
-            while right and a * (right[-1][0] + off) >= 1.0:
-                held -= right.pop()[1]
-        s = abs(w[i])
-        if s > 0.0:
-            # walk in t = a * sign(w) * position, from the plateau end toward the wall t = a
-            src, dst = (right, left) if w[i] > 0.0 else (left, right)
-            if src and not dst and s >= held:
-                total = moment = 0.0
-                for raw, d in src:
-                    total += d
-                    moment += raw * d
-                if s >= total:  # the walk would cross all of src: hand it over instead
-                    m += moment + off * total  # each drop at its breakpoint
-                    s -= total
-                    src.reverse()
-                    src, dst, left, right, a, m = dst, src, right, left, -a, -m
-            t = src[0][0] + off if src else a
-            m += s * t
-            while src:
-                raw, d = src[0]
-                if d > s:
-                    src[0] = (raw, d - s)
-                    dst.appendleft((-t - off, s))
-                    s = 0.0
-                    break
-                src.popleft()
-                dst.appendleft((-t - off, d))
-                s -= d
-                if s == 0.0:
-                    break
-                nxt = src[0][0] + off if src else a
-                m += s * (nxt - t)
-                t = nxt
-            if s > 0.0:
-                dst.appendleft((-a - off, s))
-                held += s
-        if s > 0.0 and w[i] > 0.0:  # the walk ended at the wall +1
-            anchors[i] = 1.0
-        else:
-            anchors[i] = -a * (left[0][0] + off) if left else -1.0
-    f_sorted = [anchors[0]] * n
+    n = len(w)
+    jump = [2.0] * n  # slope change at breakpoint k, added by edge k - 1; 0.0 once popped
+    low, high = [(0.0, 0)], [(0.0, 0)]  # (position - off, k), (off - position, k)
+    off = b = 0.0
+    ends = [(0.0, 0.0)] * n  # the surviving range of the flow into each atom; none enters the first
     for i in range(n - 1):
-        gap = x[i + 1] - x[i]
-        f_sorted[i + 1] = min(max(anchors[i + 1], f_sorted[i] - gap), f_sorted[i] + gap)
+        d = x[i + 1] - x[i]
+        off += w[i]
+        b -= w[i]
+        jump[i + 1] = 2.0 * d
+        heappush(low, (-off, i + 1))
+        heappush(high, (off, i + 1))
+        need = d
+        while True:
+            r, k = low[0]
+            s = jump[k]
+            if s > need:
+                jump[k] = s - need
+                break
+            heappop(low)
+            jump[k], need = 0.0, need - s
+        start = r + off
+        need = d
+        while True:
+            r, k = high[0]
+            s = jump[k]
+            if s > need:
+                jump[k], b = s - need, b + need * (off - r)
+                break
+            heappop(high)
+            jump[k], need, b = 0.0, need - s, b + s * (off - r)
+        ends[i + 1] = (start, off - r)
+    off += w[-1]
+    value = b - w[-1] + sum(jump[k] * (r + off) for r, k in low if r + off > 0.0)
+
+    # Backward: each flow from the one after it, and f_i's interval given the tail.
+    tol = _PIN * sum(map(abs, w))
+    lo, hi, step = [0.0] * n, [0.0] * n, [0.0] * n  # step: f_{i-1} - f_i where pinned
+    g_out, lo_t, hi_t = 0.0, -1.0, 1.0
+    for i in range(n - 1, -1, -1):
+        a, c = ends[i]
+        g_in = g_out - w[i]
+        g_in = a if g_in < a else c if g_in > c else g_in
+        h = w[i] - g_out + g_in
+        lo[i] = lo_t = 1.0 if h > tol else lo_t
+        hi[i] = hi_t = -1.0 if h < -tol else hi_t
+        if i:
+            d = x[i] - x[i - 1]
+            if g_in > tol or g_in < -tol:
+                e = step[i] = d if g_in > 0.0 else -d
+                lo_t, hi_t = lo_t + e, hi_t + e
+            else:
+                lo_t, hi_t = lo_t - d, hi_t + d
+            lo_t = -1.0 if lo_t < -1.0 else 1.0 if lo_t > 1.0 else lo_t  # the box, past rounding
+            hi_t = -1.0 if hi_t < -1.0 else 1.0 if hi_t > 1.0 else hi_t
+        g_out = g_in
+    f_sorted, f_i = [], 0.0
+    for e, a, c in zip(step, lo, hi):  # forward: f clamped into its interval, from 0
+        f_i -= e
+        f_i = a if f_i < a else c if f_i > c else f_i
+        f_sorted.append(f_i)
     f = np.empty(n)
     f[order] = f_sorted
-    return a * m, f
+    return value, f
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,13 @@ Certificates are trusted inputs, exactly like velocity-field bounds;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
 import scipy.special
 
-from .geometry import coordinate_deltas
+from .geometry import TORUS, coordinate_deltas
 from .grids import GridDensity, mass as density_mass, with_values
 from .measures import (
     DiscreteSignedMeasure,
@@ -303,7 +304,10 @@ def builtin_reaction(
 
         def _bump_density(t: float, u: GridDensity) -> GridDensity:
             offsets = coordinate_deltas(u.center_points(), ctr, u.domain)
-            vals = _bump_values(offsets, sigma, width)
+            # on the torus, a support wider than half a turn reaches past the nearest image
+            reach = int(np.ceil(width - 0.5)) if u.domain == TORUS else 0
+            images = product(range(-reach, reach + 1), repeat=dim)
+            vals = sum(_bump_values(offsets + np.array(s), sigma, width) for s in images)
             return with_values(u, vals.reshape(u.values.shape))
 
         return ReactionSpec(

@@ -423,9 +423,9 @@ def _curve_distance(
     already far below tolerance skip the LP; the rest go to ``fm_norm``
     one by one, through ``_fm_of``.  Two ``_NodeWeights`` are
     subtracted on the shared support, as ``linear_combine`` would, and
-    their TVs, sign tests and one-signed norms (``flat_metric``'s route 2,
-    summed right to left over columns, which are in sorted-x order) are
-    row-wise arithmetic; only mixed-sign rows become measures.
+    their TVs and sign tests are row-wise arithmetic; a one-signed row's
+    flat norm is its TV (``flat_metric``'s route 2), so only mixed-sign
+    rows become measures.
     """
     if isinstance(new, _NodeWeights) and isinstance(old, _NodeWeights):
         diff = new.weights - old.weights
@@ -437,8 +437,7 @@ def _curve_distance(
                 tv[k] = np.sum(mag[k, keep[k]])
         far = tv > 1e-3 * tol
         one_sign = np.all((diff > 0.0) | ~keep, axis=1) | np.all((diff < 0.0) | ~keep, axis=1)
-        by_sign = np.cumsum(mag[:, ::-1], axis=1)[:, -1][far & one_sign]
-        worst = float(max(np.max(tv[~far], initial=0.0), np.max(by_sign, initial=0.0)))
+        worst = float(np.max(tv[~far | one_sign], initial=0.0))
         nodes = np.flatnonzero(far & ~one_sign).tolist()
         diffs = [DiscreteSignedMeasure(new.points[k][keep[k]] + 0.0, diff[k, keep[k]],
                                        new.nu.domain) for k in nodes]

@@ -6,9 +6,10 @@ import io
 from itertools import product
 
 import numpy as np
+from scipy.optimize import linprog
 
 from mvt import solver
-from mvt.geometry import EUCLIDEAN, TORUS, wrap_torus
+from mvt.geometry import EUCLIDEAN, TORUS, pairwise_distances, wrap_torus
 from mvt.measures import BoundedLipschitzFunction, DiscreteSignedMeasure, measure
 
 
@@ -143,3 +144,36 @@ def assert_same_text(text: str, want: str) -> None:
     assert first is None, f"line {first + 1}: {lines[first]!r}, expected {want_lines[first]!r}"
     assert len(lines) == len(want_lines), f"{len(lines)} lines, expected {len(want_lines)}"
     assert text == want
+
+
+def fm_norm_oracle(mu: DiscreteSignedMeasure) -> float:
+    """Flat norm by the dual LP (scipy HiGHS), for at most 8 atoms.
+
+    Min-cost transshipment over all pairs: atom i supplies w_i, shipping
+    mass from i to j costs min(d_ij, 2) per unit, and a ground node
+    absorbs or supplies mass at cost 1.  By strong duality the optimum is
+    the flat norm, so agreement with ``fm_norm`` is a check by duality
+    rather than a second run of the same LP.
+    """
+    n = mu.num_atoms
+    if n > 8:
+        raise ValueError(f"oracle accepts at most 8 atoms, got {n}")
+    if n == 0:
+        return 0.0
+    cost = np.minimum(pairwise_distances(mu.points, mu.domain), 2.0)
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    arcs = np.arange(src.size)
+    balance = np.zeros((n, src.size + 2 * n))
+    balance[src, arcs] = 1.0
+    balance[dst, arcs] = -1.0
+    balance[:, src.size : src.size + n] = np.eye(n)  # atom -> ground
+    balance[:, src.size + n :] = -np.eye(n)  # ground -> atom
+    res = linprog(
+        c=np.concatenate([cost[src, dst], np.ones(2 * n)]),
+        A_eq=balance,
+        b_eq=np.asarray(mu.weights, dtype=float),
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0, f"oracle LP failed: {res.message}"
+    return float(res.fun)

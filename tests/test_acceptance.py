@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import random_positive, random_signed, random_sine_function
-from mvt.flat_metric import fm_distance, fm_norm, fm_norm_oracle
+from helpers import fm_norm_oracle, random_positive, random_signed, random_sine_function
+from mvt.flat_metric import fm_distance, fm_norm
 from mvt.flow import advect, jacobian_band, jacobian_det, lipschitz_bound
 from mvt.measures import (
     dirac,

@@ -17,8 +17,8 @@ against closed forms; a test that compares with the LP counts the HiGHS
 calls, so that its coverage cannot pass to the matched pair unseen.
 """
 import tracemalloc
-from collections import deque
 from contextlib import contextmanager
+from heapq import heappop
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from helpers import random_positive, random_signed, random_sine_function
+from helpers import fm_norm_oracle, random_positive, random_signed, random_sine_function
 import mvt.flat_metric
 from mvt.flat_metric import (
     _Block,
@@ -36,7 +36,6 @@ from mvt.flat_metric import (
     _torus_cut,
     fm_distance,
     fm_norm,
-    fm_norm_oracle,
 )
 from mvt.geometry import EUCLIDEAN, TORUS, distance, pairwise_distances
 from mvt.measures import (
@@ -225,7 +224,7 @@ def test_larger_1d_supports_stay_exact():
 
 
 def test_chain_memory_is_linear():
-    """2000 atoms: the DP keeps one float per level, not every level."""
+    """2000 atoms: the DP keeps O(n) floats, not one function per level."""
     mu = random_signed(np.random.default_rng(8), 2000, 1, span=3.0)
     tracemalloc.start()
     try:
@@ -266,13 +265,15 @@ def _one_signed(rng, n, dim, domain, sign):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.sampled_from([1.0, -1.0]))
-def test_one_sign_is_bitwise_the_chain_dp(seed, n, sign):
+def test_one_sign_is_bitwise_the_tv(seed, n, sign):
+    """Route 2 is ``tv_norm`` bit for bit; the chain DP, which sums in its
+    own order, agrees to rounding."""
     mu = _one_signed(np.random.default_rng(seed), n, 1, EUCLIDEAN, sign)
-    value, f = _fm_chain_1d(mu.points[:, 0], np.asarray(mu.weights))
     res = fm_norm(mu)
-    assert res.value == value
-    np.testing.assert_array_equal(res.optimal_f_values, f)
-    np.testing.assert_array_equal(f, np.full(mu.num_atoms, sign))
+    assert res.value == tv_norm(mu)
+    np.testing.assert_array_equal(res.optimal_f_values, np.full(mu.num_atoms, sign))
+    value, _ = _fm_chain_1d(mu.points[:, 0], np.asarray(mu.weights))
+    assert abs(value - res.value) <= 1e-14 * res.value
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,8 +454,8 @@ def test_bundled_full_solves_call_no_lp(name):
 
 
 # ---------------------------------------------------------------------------
-# The chain DP's hand-over: a walk that would cross a whole side into an
-# empty other side takes that side over as it is.
+# The chain DP against the chain LP, on the shapes the solver feeds it and
+# on inputs with exact ties.
 # ---------------------------------------------------------------------------
 
 def _chain_lp(x, w) -> float:
@@ -521,42 +522,65 @@ def test_lp_route_exact_on_small_weights():
         assert _fm_lp(block).value == pytest.approx(value, rel=1e-8)
 
 
-class _CountingDeque(deque):
-    reversals = 0
-
-    def reverse(self):
-        type(self).reversals += 1
-        super().reverse()
-
-
 @pytest.mark.parametrize("seed", range(8))
-def test_chain_dp_hands_over_on_alternating_growing_weights(seed, monkeypatch):
+def test_chain_dp_hands_over_on_alternating_growing_weights(seed):
     """Each weight, read right to left, outweighs all before it and has the
-    other sign, so every walk after the first hands its side over."""
+    other sign: the input on which a primal walk over the argmax carries
+    every breakpoint to the other side at every atom."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     x = np.sort(rng.uniform(0.0, 0.6, n))
     k = np.arange(n)[::-1]
     w = rng.choice([-1.0, 1.0]) * (-1.0) ** k * 2.5 ** k * rng.uniform(0.5, 1.0, n)
-    monkeypatch.setattr(mvt.flat_metric, "deque", _CountingDeque)
-    _CountingDeque.reversals = 0
     value = _chain_dp_checked(x, w)
-    assert _CountingDeque.reversals == n - 1
     assert value == pytest.approx(_chain_lp(x, w), rel=1e-12)
     mu = DiscreteSignedMeasure(x[:, None], w)
     assert value == pytest.approx(fm_norm_oracle(mu), rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_chain_dp_on_a_shifted_lattice_with_one_heavy_atom(seed):
+def _shifted_lattice(rng, n):
     """The shape of a long torus run with a source: a lattice minus its
     shifted copy, weights from 4e-8 to 4e-4 and a sign change at every
-    step, plus one atom of weight 1."""
-    rng = np.random.default_rng(seed)
-    n = 600
+    step, plus one atom of weight 1; 2n atoms."""
     lattice = np.arange(n) / n
     profile = 4e-4 * np.exp(-((lattice - 0.5) / 0.1) ** 2) + 4e-8
     x = np.concatenate([lattice, lattice + rng.uniform(0.1, 0.9) / n])
     w = np.concatenate([profile, -profile * rng.uniform(0.9, 1.1, n)])
     w[rng.integers(2 * n)] = 1.0
+    return x, w
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_dp_on_a_shifted_lattice_with_one_heavy_atom(seed):
+    x, w = _shifted_lattice(np.random.default_rng(seed), 600)
     assert _chain_dp_checked(x, w) == pytest.approx(_chain_lp(x, w), rel=1e-12)
+
+
+def test_chain_dp_pops_each_breakpoint_once_per_heap(monkeypatch):
+    """4000 atoms of the shifted lattice, the 1D stress run's shape: one
+    breakpoint per atom, each popped at most once from each of the two
+    heaps, however far the weights move the flows."""
+    x, w = _shifted_lattice(np.random.default_rng(7), 2000)
+    pops = []
+
+    def counted(heap):
+        pops.append(1)
+        return heappop(heap)
+
+    monkeypatch.setattr(mvt.flat_metric, "heappop", counted)
+    value = _chain_dp_checked(x, w)
+    assert 0 < len(pops) <= 2 * x.size
+    assert value == pytest.approx(_chain_lp(x, w), rel=1e-12)
+
+
+def test_chain_dp_on_exact_ties():
+    """Weights in multiples of 0.1 on lattice points: flows and breakpoints
+    are partial sums of the weights, so they tie exactly or miss a tie by
+    rounding, and a rounding-sized flow must not pin f."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 8))
+        x = np.sort(rng.choice(np.arange(12), size=n, replace=False)) * 0.1
+        w = rng.integers(-9, 10, size=n) * 0.1
+        w[w == 0.0] = 0.1
+        assert _chain_dp_checked(x, w) == pytest.approx(_chain_lp(x, w), rel=1e-12, abs=1e-15)

@@ -178,6 +178,18 @@ def test_torus_source_density_wraps_like_its_atoms(center):
     assert mass(density) == pytest.approx(atoms.total_mass, abs=1e-6)
 
 
+@pytest.mark.parametrize("dim, cells", [(1, 400), (2, 100)])
+@pytest.mark.parametrize("width", [0.6, 0.9])
+def test_wide_torus_source_density_keeps_the_mass_of_its_atoms(dim, cells, width):
+    # a support wider than half a turn reaches past the nearest periodic
+    # image of a cell, and every image it reaches carries mass
+    u = uniform_density([0.0] * dim, [1.0] * dim, cells, 0.0, 2.0, TORUS)
+    spec = builtin_reaction("smoothed_source", [1.0, width] + [0.5] * dim)
+    atoms = eval_reaction(spec, 0.0, empty_measure(dim, TORUS))
+    assert atoms.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert mass(eval_density_reaction(spec, 0.0, u)) == pytest.approx(atoms.total_mass, abs=1e-7)
+
+
 @pytest.mark.parametrize("name", ["logistic", "mass_rate"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_mass_coupled_lp_certificates_bound_sampled_densities(name, dim):
