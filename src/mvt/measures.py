@@ -23,16 +23,18 @@ the edges, and ``connected_components`` groups them.  All components of
 One rule, ``_separated``, lets coalescing skip the merge pass: when the
 sorted first coordinates of a support have every gap (and, on the
 torus, the wrap-around gap) above eps, no two atoms are within eps, so
-the pass could merge nothing.  ``linear_combine`` of two measures on the
-same separated support therefore adds the weights atom by atom, which
-is bitwise what merging the concatenation would give.
+the pass could merge nothing.  ``coalesce`` asks it before every pass,
+so a pass that separates the support ends the loop.  ``linear_combine``
+of two measures on the same separated support therefore adds the
+weights atom by atom, which is bitwise what merging the concatenation
+would give.
 """
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,8 +167,8 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray):
     return points[order], weights[order]
 
 
-def _left_sum(x: np.ndarray) -> np.ndarray:  # over axis 1 from 0.0, as np.sum adds < 8 terms
-    return reduce(np.add, np.moveaxis(x, 1, 0), 0.0)
+def _left_sum(x: np.ndarray) -> np.ndarray:  # over axis 1 in turn from 0.0, as np.sum adds < 8 terms
+    return np.add.accumulate(x, axis=1)[:, -1] + 0.0
 
 
 def _merged(pts: np.ndarray, w: np.ndarray, sizes, domain: str, total):
@@ -183,9 +185,9 @@ def _merged(pts: np.ndarray, w: np.ndarray, sizes, domain: str, total):
 def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str):
     """One clustering pass: merge connected components of the ``COALESCE_EPS``-graph.
 
-    Components of 2-7 atoms merge at once, as rows padded to 7 members
-    by the lowest at weight 0.0, which adds nothing to a left-to-right
-    sum: bitwise, that is ``np.sum`` per component.  From 8 terms
+    Components of 2-7 atoms merge at once, as rows padded to the largest
+    one's size by the lowest at weight 0.0, which adds nothing to a
+    left-to-right sum: bitwise, that is ``np.sum`` per component.  From 8 terms
     ``np.sum`` reorders, so bigger ones call it one by one.  A lone atom
     is ``points[i] + 0.0`` (wrapped on the torus) with weight
     ``weights[i] + 0.0``.  When no edge survives, the inputs come back
@@ -200,8 +202,9 @@ def _merge_pass(points: np.ndarray, weights: np.ndarray, domain: str):
     new_pts = points[members[starts]] + 0.0
     new_wts = weights[members[starts]] + 0.0
     rows = np.flatnonzero((sizes > 1) & (sizes < 8))
-    live = np.arange(7) < sizes[rows, None]
-    idxs = members[starts[rows, None] + np.where(live, np.arange(7), 0)]  # pads: the lowest
+    width = np.arange(sizes[rows].max(initial=1))
+    live = width < sizes[rows, None]
+    idxs = members[starts[rows, None] + np.where(live, width, 0)]  # pads: the lowest
     new_pts[rows], new_wts[rows] = _merged(
         points[idxs], np.where(live, weights[idxs], 0.0), sizes[rows], domain, _left_sum)
     for row in np.flatnonzero(sizes >= 8):
@@ -236,18 +239,21 @@ def _run_labels(points: np.ndarray, domain: str) -> np.ndarray | None:
     n = points.shape[0]
     order = np.argsort(wrap_torus(points[:, 0]) if domain == TORUS else points[:, 0],
                        kind="stable")
-    link = distance(points[order], points[np.roll(order, -1)], domain) <= COALESCE_EPS
+    nxt = np.concatenate((order[1:], order[:1]))
+    link = distance(points[order], points[nxt], domain) <= COALESCE_EPS
     link[-1] &= n > 1  # a lone atom is no pair
     if not link.any():
         return None
-    run = np.concatenate(([0], np.cumsum(~link[:-1])))  # by sorted position
-    if link[-1]:
+    starts = np.concatenate(([True], ~link[:-1]))  # by sorted position
+    run = np.cumsum(starts) - 1
+    lowest = np.minimum.reduceat(order, np.flatnonzero(starts))
+    if link[-1] and run[-1]:  # the seam joins the last run to the first
+        lowest[0] = min(lowest[0], lowest[-1])
+        lowest = lowest[:-1]
         run[run == run[-1]] = 0
-    lowest = np.full(n, n)
-    np.minimum.at(lowest, run, order)
     labels = np.empty(n, dtype=np.intp)
-    labels[order] = lowest[run]
-    return np.unique(labels, return_inverse=True)[1]
+    labels[order] = np.argsort(np.argsort(lowest))[run]  # runs ranked by lowest atom
+    return labels
 
 
 def _separated(points: np.ndarray, domain: str) -> bool:
@@ -269,11 +275,11 @@ def _gaps_clear(x0: np.ndarray, points: np.ndarray, domain: str) -> bool:
     Every step from one coordinate to the next must exceed ``COALESCE_EPS``,
     so coordinates out of ascending order fail.
     """
-    if not np.all(np.diff(x0) > COALESCE_EPS):
+    if not (x0[1:] - x0[:-1] > COALESCE_EPS).all():
         return False
     if domain != TORUS:
         return True
-    if not np.all((points >= 0.0) & (points < 1.0)):
+    if not ((points >= 0.0) & (points < 1.0)).all():
         return False
     return x0.shape[0] < 2 or bool(abs(coordinate_deltas(x0[0], x0[-1], TORUS)) > COALESCE_EPS)
 
@@ -295,14 +301,15 @@ def coalesce(mu: DiscreteSignedMeasure) -> DiscreteSignedMeasure:
     Merged atoms sum their weights and sit at the weight-magnitude
     weighted mean position.  The pass repeats until no pair is within
     ``COALESCE_EPS``, so the operation is idempotent.  A support that
-    ``_separated`` clears skips the pass, which could merge nothing.
+    ``_separated`` clears ends it: a pass could merge nothing there.
     Output atoms are sorted lexicographically by coordinates.
     """
     pts = np.asarray(mu.points, dtype=float)
     wts = np.asarray(mu.weights, dtype=float)
-    changed = pts.shape[0] > 1 and not _separated(pts, mu.domain)
-    while changed and pts.shape[0] > 1:
-        pts, wts, changed = _merge_pass(pts, wts, mu.domain)
+    while pts.shape[0] > 1 and not _separated(pts, mu.domain):
+        pts, wts, merged = _merge_pass(pts, wts, mu.domain)
+        if not merged:
+            break
     return _pruned_canonical(pts, wts, mu.domain)
 
 

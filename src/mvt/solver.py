@@ -34,7 +34,9 @@ on one (nodes, atoms) weight array, bitwise equal to the measure path,
 which takes over for the rest of an interval when a weight is pruned.
 One call of the rate ``rate(t, mass)`` on the node times and row masses
 rates a whole sweep, and only a distance's mixed-sign rows become
-measures.
+measures.  A g pruned at every node (a death rate under its own shift)
+only decays the weights there too.  Sums with a nonempty g add 0.0 to
+the points; the array path adds it when it yields the node measures.
 """
 from __future__ import annotations
 
@@ -290,12 +292,14 @@ class _NodeWeights:
 
     Such a reaction only rescales weights, so at node k every iterate sits
     on the transport curve's support ``points``, as sweeps return it.
-    Iterating yields the node measures.
+    ``plus_zero`` marks an iterate swept with a nonempty g, whose sums add
+    0.0 to the points after node 0.  Iterating yields the node measures.
     """
 
     nu: DiscreteSignedMeasure
     points: list[np.ndarray]
     weights: np.ndarray
+    plus_zero: bool = False
 
     def __len__(self) -> int:
         return len(self.points)
@@ -303,11 +307,12 @@ class _NodeWeights:
     def __iter__(self):
         yield self.nu
         for p, w in zip(self.points[1:], self.weights[1:]):
+            p = _readonly(p + 0.0) if self.plus_zero else p
             yield DiscreteSignedMeasure(p, _readonly(w), self.nu.domain)
 
 
 def _fixed_supports(
-    spec: ReactionSpec, curve: list[DiscreteSignedMeasure], c: float
+    spec: ReactionSpec, curve: list[DiscreteSignedMeasure]
 ) -> _NodeWeights | None:
     """The transport curve as a ``_NodeWeights``, or None if sweeps need measures.
 
@@ -315,9 +320,7 @@ def _fixed_supports(
     support in canonical order that ``measures._separated`` clears, so
     that each ``linear_combine`` of the measure path adds weights atom by
     atom; its gap rule runs on the first coordinates as stored, which
-    fails them out of ascending order.  That adds 0.0 to the points;
-    with neither rate nor shift every sum is a concatenation, which does
-    not.
+    fails them out of ascending order.  The points stay as pushed.
     """
     nu, points = curve[0], [mu.points for mu in curve]
     if (
@@ -326,8 +329,6 @@ def _fixed_supports(
         or not all(_gaps_clear(p[:, 0], p, nu.domain) for p in points)
     ):
         return None
-    if spec.rate is not None or c != 0.0:
-        points = points[:1] + [_readonly(p + 0.0) for p in points[1:]]
     return _NodeWeights(nu, points, np.tile(nu.weights, (len(points), 1)))
 
 
@@ -339,21 +340,27 @@ def _sweep_weights(
     Each step is the measure path's arithmetic on the same values, so the
     result is bitwise equal.  All node rates come from one rate call on
     the node times and row sums, which are ``total_mass`` row by row.
+    A g pruned at every node is the measure path's empty g, which only
+    decays; one pruned at some nodes falls back.
     """
     w = curve.weights
-    g = c * w  # with no rate and c = 0: zeros, which add nothing
+    g = c * w
     if spec.rate is not None:
         rated, keep = _rated(spec.rate, times, np.sum(w, axis=1), w)
-        if not np.all(keep):  # eval_reaction would prune
+        if not keep.all():  # eval_reaction would prune
             return None
         g = rated + g
-    if c != 0.0 and np.any(np.abs(g) < WEIGHT_EPS):
-        return None
+    pruned = np.abs(g) < WEIGHT_EPS
+    empty_g = pruned.any()
+    if empty_g:
+        if not pruned.all():  # the kept part of g would merge with the iterate
+            return None
+        g = np.zeros_like(w)  # adds nothing, as the empty g's concatenations
     out = np.array(_trapezoid(times, w[0], g, c, lambda k, x: x, _axpby))
     half = out[:-1] + (0.5 * float(times[1] - times[0])) * g[:-1]
-    if np.any(np.abs(half) < WEIGHT_EPS) or np.any(np.abs(out[1:]) < WEIGHT_EPS):
+    if (np.abs(half) < WEIGHT_EPS).any() or (np.abs(out[1:]) < WEIGHT_EPS).any():
         return None
-    return _NodeWeights(curve.nu, curve.points, out)
+    return _NodeWeights(curve.nu, curve.points, out, plus_zero=not empty_g)
 
 
 def _sweep_measures(
@@ -506,7 +513,7 @@ def _fixed_point(
     h = default_step(tau)
     push = _panel_push(v, times, h)
     curve = _transport_curve(times, push, nu)
-    curve = _fixed_supports(spec, curve, c) or curve
+    curve = _fixed_supports(spec, curve) or curve
     panels = None
     dens_vals: list[np.ndarray] | None = None
     dens_tol = math.inf

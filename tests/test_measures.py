@@ -494,3 +494,31 @@ def test_run_labels_without_an_edge_is_none(domain):
     assert mvt.measures._run_labels(pts, domain) is None
     assert mvt.measures._tree_labels(pts, domain) is None
     assert mvt.measures._run_labels(pts[:1], domain) is None
+
+
+@pytest.mark.parametrize("points, atoms, passes", [
+    # A and B are within eps and both beyond it from C, whom only their
+    # merged mean reaches: a second pass merges it
+    ([[-0.45e-12, 0.0], [0.45e-12, 0.0], [0.0, 0.95e-12]], 1, 2),
+    # the pass leaves a support that _separated clears, which ends the loop
+    ([[0.0], [0.5e-12], [0.7]], 2, 1),
+])
+def test_coalesce_passes_until_separated(monkeypatch, points, atoms, passes):
+    calls = []
+    merge_pass = mvt.measures._merge_pass
+
+    def counted_merge_pass(*args):
+        out = merge_pass(*args)
+        calls.append(out[2])
+        return out
+
+    pts = np.array(points)
+    if pts.shape[1] == 2:
+        a, b, c = pts
+        assert distance(a, b, EUCLIDEAN) <= COALESCE_EPS
+        assert min(distance(a, c, EUCLIDEAN), distance(b, c, EUCLIDEAN)) > COALESCE_EPS
+        assert distance((a + b) / 2.0, c, EUCLIDEAN) <= COALESCE_EPS
+    monkeypatch.setattr(mvt.measures, "_merge_pass", counted_merge_pass)
+    out = coalesce(DiscreteSignedMeasure(pts, np.ones(len(pts))))
+    assert out.num_atoms == atoms and out.total_mass == 3.0
+    assert calls == [True] * passes

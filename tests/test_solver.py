@@ -475,7 +475,7 @@ def _both_paths(run):
         mp.setattr(solver, "_sweep_weights", spy)
         fast = _outcome(run)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_fixed_supports", lambda spec, curve, c: None)
+        mp.setattr(solver, "_fixed_supports", lambda spec, curve: None)
         slow = _outcome(run)
     return fast, slow, on_arrays
 
@@ -514,9 +514,10 @@ RATE_ONLY = [("linear_rate", [1.5]), ("logistic", [1.0, 2.0]), ("mass_rate", [0.
 def test_rate_only_interval_bitwise_on_both_paths(
     reaction, field, dim, shift, n_atoms, seed, signed_zero
 ):
-    # death_rate with shift 0.7 cancels g exactly and so prunes it: that
-    # case checks the fallback; the others mostly stay on arrays.  The
-    # linear field has a > 0, so a*x keeps a -0.0 coordinate as it moves.
+    # death_rate with shift 0.7 cancels g exactly and so prunes it: its
+    # sweeps stay on arrays with the measure path's empty g, which adds
+    # no 0.0 to the points.  The linear field has a > 0, so a*x keeps a
+    # -0.0 coordinate as it moves, and only that sweep's points keep it.
     rng = np.random.default_rng(seed)
     domain = TORUS if field == "torus" else "euclidean"
     dim = 2 if field == "shear" else dim
@@ -542,15 +543,37 @@ def test_rate_only_interval_bitwise_on_both_paths(
     _assert_bitwise(fast, slow)
 
 
-def test_death_rate_cancelled_by_shift_falls_back():
+def test_death_rate_cancelled_by_shift_stays_on_arrays():
     # auto dilation shifts death_rate a by c = a, so g = -a w + a w is 0
-    # and pruned to nothing: the measure path runs every sweep
+    # and pruned to nothing: every sweep only moves and decays the atoms
     spec = builtin_reaction("death_rate", [1.0])
     v = builtin_field("constant", [0.3], 1)
     nu = measure([[0.0], [0.5]], [1.0, 0.5])
     config = SolverConfig(quad_nodes=9, dilation_mode="auto")
     fast, slow, on_arrays = _both_paths(lambda: solve_interval(spec, v, 0.0, 0.4, nu, config))
-    assert on_arrays and not any(on_arrays)
+    assert on_arrays and all(on_arrays)
+    _assert_bitwise(fast, slow)
+
+
+def test_shift_cancelling_g_at_some_nodes_falls_back():
+    # mass_rate -1 rates each atom by -mass, and the shift is the initial
+    # mass 1.5: g is 0 on the transport curve, so the first sweep stays on
+    # arrays; its masses then fall after node 0, where alone g stays 0
+    spec = builtin_reaction("mass_rate", [-1.0])
+    v = builtin_field("constant", [0.3], 1)
+    nu = measure([[0.0], [0.5]], [1.0, 0.5])
+    config = SolverConfig(quad_nodes=9, dilation_mode="fixed", dilation_c=1.5)
+    fast, slow, on_arrays = _both_paths(lambda: solve_interval(spec, v, 0.0, 0.2, nu, config))
+    assert on_arrays[:2] == [True, False]
+    _assert_bitwise(fast, slow)
+
+
+def test_bundled_death_shear_sweeps_on_arrays():
+    sc = bundled_scenario("death_shear")
+    fast, slow, on_arrays = _both_paths(
+        lambda: solve_maximal(sc.reaction, sc.velocity, sc.initial, sc.t0, sc.horizon, sc.solver))
+    assert fast.reached_horizon
+    assert on_arrays and all(on_arrays)
     _assert_bitwise(fast, slow)
 
 
@@ -615,10 +638,10 @@ def test_rate_reaction_sweeps_on_arrays():
     _assert_bitwise(fast, slow)
 
 
-def _weights_curve(spec, v, nu, tau, nodes, c=0.0):
+def _weights_curve(spec, v, nu, tau, nodes):
     times = np.linspace(0.0, tau, nodes)
     push = solver._panel_push(v, times, default_step(tau))
-    curve = solver._fixed_supports(spec, solver._transport_curve(times, push, nu), c)
+    curve = solver._fixed_supports(spec, solver._transport_curve(times, push, nu))
     assert curve is not None
     return times, curve
 
