@@ -167,7 +167,8 @@ def _canonical_order(points: np.ndarray, weights: np.ndarray):
     return points[order], weights[order]
 
 
-def _left_sum(x: np.ndarray) -> np.ndarray:  # over axis 1 in turn from 0.0, as np.sum adds < 8 terms
+def _left_sum(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over axis 1, as ``np.sum`` of < 8 terms; ``+ 0.0`` is a 0.0 start on -0.0."""
     return np.add.accumulate(x, axis=1)[:, -1] + 0.0
 
 

@@ -307,8 +307,7 @@ class _NodeWeights:
     def __iter__(self):
         yield self.nu
         for p, w in zip(self.points[1:], self.weights[1:]):
-            p = _readonly(p + 0.0) if self.plus_zero else p
-            yield DiscreteSignedMeasure(p, _readonly(w), self.nu.domain)
+            yield DiscreteSignedMeasure(_readonly(p + 0.0) if self.plus_zero else p, _readonly(w), self.nu.domain)
 
 
 def _fixed_supports(
