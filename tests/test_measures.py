@@ -497,7 +497,7 @@ def test_run_labels_without_an_edge_is_none(domain):
 
 
 @pytest.mark.parametrize("points, atoms, passes", [
-    # A and B are within eps and both beyond it from C, whom only their
+    # A and B are within eps and both beyond it from C, which only their
     # merged mean reaches: a second pass merges it
     ([[-0.45e-12, 0.0], [0.45e-12, 0.0], [0.0, 0.95e-12]], 1, 2),
     # the pass leaves a support that _separated clears, which ends the loop
